@@ -32,6 +32,7 @@ from .models import (
     fit_xgb,
     predict,
     predict_tree,
+    staged_predict,
     staged_train_r2,
 )
 from .persist import ModelArtifact, load, make_artifact, save
@@ -70,6 +71,7 @@ __all__ = [
     "fit_model",
     "predict",
     "predict_tree",
+    "staged_predict",
     "staged_train_r2",
     "ParamGrid",
     "CvResult",

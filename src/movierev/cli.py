@@ -181,7 +181,11 @@ def _parse_request_value(field: str, raw, numeric: bool):
 
 def _request_from_file(path, feature_schema) -> tuple[dict, str]:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # a ValueError, which would otherwise exit as a usage error
+            raise InvalidField("<request>", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidField("<request>", "request file must hold a JSON object")
     values = {}

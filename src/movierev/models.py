@@ -15,6 +15,13 @@ mean target, score maximization = SSE minimization), which is what makes
 the regularized booster with reg_lambda = reg_gamma = 0 coincide with
 plain gradient boosting.
 
+The grower sorts each feature column once per tree (stably, so equal
+values keep ascending row order) and hands every node its rows in that
+order, one index row per feature. A split partitions the parent's order
+into its two children with one boolean mask, which keeps each child's
+rows in the same order, so no node sorts again (the attribute lists of
+SPRINT, Shafer, Agrawal & Mehta, VLDB 1996).
+
 Candidate thresholds are midpoints between consecutive distinct sorted
 feature values; rows with feature < threshold go left. Among equal-score
 splits the lowest feature index wins, then the lowest threshold. Every
@@ -123,34 +130,19 @@ class EnsembleModel:
 # shared tree grower
 
 
-def _node_sorted_rows(X, idx, feats, presort):
-    """Node rows in ascending feature order, one row of indices per
-    candidate feature, shape (len(feats), len(idx)).
+def _best_split(X, g, srows, feats, total, min_leaf, lam):
+    """Best (score, feature, threshold) over the candidate features
+    ``feats`` of a node, or None when no legal split exists.
 
-    Two equivalent routes: filter the tree-wide presorted order down to
-    the node, or sort the node's own values. Both are stable with respect
-    to the original row index, so they produce the same sequence; the
-    cheaper one is picked by node size.
+    ``srows`` holds the node's rows in ascending order of each feature,
+    one row of indices per feature of ``X`` (shape (p, n)), with equal
+    values in ascending row order; ``total`` is the node's gradient sum.
+    Only the rows of ``srows`` for ``feats`` are searched.
     """
-    n = idx.size
-    if presort is not None and 8 * n >= X.shape[0]:
-        mask = np.zeros(X.shape[0], dtype=bool)
-        mask[idx] = True
-        ord_rows = presort.T[feats]  # (m, n_total)
-        return ord_rows[mask[ord_rows]].reshape(len(feats), n)
-    local = np.argsort(X[np.ix_(idx, feats)], axis=0, kind="stable")
-    return idx[local].T
-
-
-def _best_split(X, g, idx, feats, min_leaf, lam, presort=None):
-    """Best (score, feature, threshold) over the candidate features for
-    the node rows ``idx``, or None when no legal split exists."""
-    n = idx.size
-    rows = _node_sorted_rows(X, idx, feats, presort)  # (m, n)
-    xs = X[rows, np.asarray(feats)[:, None]]
-    gs = g[rows]
-    cum = np.cumsum(gs, axis=1)
-    total = float(np.sum(g[idx]))
+    n = srows.shape[1]
+    rows = srows if feats.size == srows.shape[0] else srows[feats]  # (m, n)
+    xs = X[rows, feats[:, None]]
+    cum = g[rows].cumsum(axis=1)
 
     left_cnt = np.arange(1, n, dtype=np.float64)[None, :]
     right_cnt = n - left_cnt
@@ -165,16 +157,14 @@ def _best_split(X, g, idx, feats, min_leaf, lam, presort=None):
         valid &= (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
 
     # scores are non-negative, so -inf marks invalid candidates safely;
-    # argmax takes the first maximum, which realizes the tie-break rule
-    # (lowest threshold within a feature, then lowest feature index)
+    # argmax takes the first maximum in row-major order, which realizes
+    # the tie-break rule (lowest feature index, then lowest threshold)
     masked = np.where(valid, scores, -math.inf)
-    best_pos = np.argmax(masked, axis=1)
-    col_best = masked[np.arange(len(feats)), best_pos]
-    j = int(np.argmax(col_best))
-    if col_best[j] == -math.inf:
+    j, b = divmod(int(masked.argmax()), n - 1)
+    best = masked[j, b]
+    if best == -math.inf:
         return None
-    b = int(best_pos[j])
-    return float(col_best[j]), int(feats[j]), float(thresholds[j, b])
+    return float(best), int(feats[j]), float(thresholds[j, b])
 
 
 def _grow_tree(X, g, config, lam, gamma, require_gain, rng, train_pred=None, presort=None):
@@ -185,25 +175,34 @@ def _grow_tree(X, g, config, lam, gamma, require_gain, rng, train_pred=None, pre
     order. ``train_pred``, when given, is filled with each training row's
     leaf value. Iterative so unlimited-depth trees cannot hit the Python
     recursion limit.
+
+    Every node that may be split carries its rows in ascending order of
+    each feature, as a (p, n) index array. The root's order is the stable
+    column presort of ``X`` (``presort``, computed here when not given);
+    a split hands each child the stable boolean partition of its
+    parent's order, so a child's order is the presort filtered to the
+    child's rows, and no node sorts again. A child that will never be
+    searched (at the depth limit, or below ``min_samples_split`` rows)
+    gets no order.
     """
     n_total, p = X.shape
     if presort is None:
         presort = np.argsort(X, axis=0, kind="stable")
+    all_feats = np.arange(p, dtype=np.intp)
+    in_left = np.zeros(n_total, dtype=bool)  # scratch mask, cleared after each split
     root = None
-    # stack entries: (row indices, depth, parent Split or None, side)
-    stack = [(np.arange(n_total, dtype=np.intp), 0, None, "")]
+    # stack entries: (row indices ascending, per-feature order or None,
+    # depth, parent Split or None, side)
+    root_order = np.ascontiguousarray(presort.T) if _searchable(n_total, 0, config) else None
+    stack = [(np.arange(n_total, dtype=np.intp), root_order, 0, None, "")]
     while stack:
-        idx, depth, parent, side = stack.pop()
+        idx, srows, depth, parent, side = stack.pop()
         gn = g[idx]
         n = idx.size
-        total = float(np.sum(gn))
+        total = float(gn.sum())
 
         node = None
-        stopped = (
-            n < config.min_samples_split
-            or (config.max_depth is not None and depth >= config.max_depth)
-            or bool(np.all(gn == gn[0]))
-        )
+        stopped = srows is None or bool((gn == gn[0]).all())
         if not stopped:
             if config.max_features is not None and config.max_features < p:
                 feats = np.array(
@@ -211,8 +210,8 @@ def _grow_tree(X, g, config, lam, gamma, require_gain, rng, train_pred=None, pre
                     dtype=np.intp,
                 )
             else:
-                feats = np.arange(p, dtype=np.intp)
-            found = _best_split(X, g, idx, feats, config.min_samples_leaf, lam, presort)
+                feats = all_feats
+            found = _best_split(X, g, srows, feats, total, config.min_samples_leaf, lam)
             if found is not None:
                 score, feature, threshold = found
                 if require_gain:
@@ -224,9 +223,21 @@ def _grow_tree(X, g, config, lam, gamma, require_gain, rng, train_pred=None, pre
                     feature_index=feature, threshold=threshold, left=None, right=None
                 )
                 go_left = X[idx, feature] < threshold
+                left, right = idx[go_left], idx[~go_left]
+                search_left = _searchable(left.size, depth + 1, config)
+                search_right = _searchable(right.size, depth + 1, config)
+                left_order = right_order = None
+                if search_left or search_right:
+                    in_left[left] = True
+                    sel = in_left[srows]
+                    in_left[left] = False
+                    if search_left:
+                        left_order = srows[sel].reshape(p, left.size)
+                    if search_right:
+                        right_order = srows[~sel].reshape(p, right.size)
                 # push right first so the left subtree is grown first
-                stack.append((idx[~go_left], depth + 1, node, "right"))
-                stack.append((idx[go_left], depth + 1, node, "left"))
+                stack.append((right, right_order, depth + 1, node, "right"))
+                stack.append((left, left_order, depth + 1, node, "left"))
 
         if node is None:
             node = Leaf(value=-total / (n + lam), n_samples=n)
@@ -238,6 +249,13 @@ def _grow_tree(X, g, config, lam, gamma, require_gain, rng, train_pred=None, pre
         else:
             setattr(parent, side, node)
     return root
+
+
+def _searchable(n, depth, config) -> bool:
+    """Whether a node of ``n`` rows at ``depth`` may be split."""
+    return n >= config.min_samples_split and (
+        config.max_depth is None or depth < config.max_depth
+    )
 
 
 def _tree_predict_matrix(tree, X):
@@ -418,9 +436,8 @@ def predict(model, X) -> np.ndarray:
             return _tree_predict_matrix(model, X)
         if isinstance(model, EnsembleModel):
             if model.kind in BOOSTING_KINDS:
-                out = np.full(X.shape[0], model.init_value, dtype=np.float64)
-                for tree in model.trees:
-                    out = out + model.learning_rate * _tree_predict_matrix(tree, X)
+                for out in staged_predict(model, X):
+                    pass
                 return out
             acc = np.zeros(X.shape[0], dtype=np.float64)
             for tree in model.trees:
@@ -431,6 +448,19 @@ def predict(model, X) -> np.ndarray:
     raise TypeError(f"cannot predict with {type(model).__name__}")
 
 
+def staged_predict(model: EnsembleModel, X):
+    """Yield a boosting model's predictions after each stage: the initial
+    constant, then ``init + learning_rate * tree`` accumulated tree by tree
+    in fit order. The k-th array is exactly what the model cut to its
+    first k trees predicts, and the last is ``predict(model, X)``."""
+    X = _as_matrix(X)
+    out = np.full(X.shape[0], model.init_value, dtype=np.float64)
+    yield out
+    for tree in model.trees:
+        out = out + model.learning_rate * _tree_predict_matrix(tree, X)
+        yield out
+
+
 def staged_train_r2(model: EnsembleModel, X, y) -> list[tuple[int, float]]:
     """R-squared of every boosting prefix, iteration 0 (initial constant)
     through n_estimators (full model), accumulated in fit order."""
@@ -438,12 +468,7 @@ def staged_train_r2(model: EnsembleModel, X, y) -> list[tuple[int, float]]:
         raise ValueError("staged R2 tracking needs a boosting model")
     X = _as_matrix(X)
     y = _as_vector(y, X.shape[0])
-    pred = np.full(X.shape[0], model.init_value, dtype=np.float64)
-    curve = [(0, _r2_score(y, pred))]
-    for i, tree in enumerate(model.trees, start=1):
-        pred = pred + model.learning_rate * _tree_predict_matrix(tree, X)
-        curve.append((i, _r2_score(y, pred)))
-    return curve
+    return [(i, _r2_score(y, pred)) for i, pred in enumerate(staged_predict(model, X))]
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ColumnSpec
-from .errors import CorruptArtifact, SchemaHashMismatch, VersionMismatch
+from .errors import ArtifactError, CorruptArtifact, SchemaHashMismatch, VersionMismatch
 from .models import (
     KIND_BAGGING,
     KIND_FOREST,
@@ -204,7 +204,9 @@ def _tupled(kinds):
     return kinds if isinstance(kinds, tuple) else (kinds,)
 
 
-def _decode_tree(doc, path):
+def _decode_tree(doc, path, features):
+    """Decode one tagged tree node; ``features`` is ``range(n_features)``
+    of the pipeline schema, which every split's ``f`` must fall in."""
     if not isinstance(doc, dict) or len(doc) != 1:
         raise CorruptArtifact(path, "tree node must have exactly one tag")
     if "leaf" in doc:
@@ -215,11 +217,20 @@ def _decode_tree(doc, path):
         )
     if "split" in doc:
         body = doc["split"]
+        feature = _expect(body, "f", int, f"{path}.split")
+        if feature not in features:
+            raise CorruptArtifact(
+                f"{path}.split.f", f"feature index {feature} outside [0, {len(features)})"
+            )
         return Split(
-            feature_index=int(_expect(body, "f", int, f"{path}.split")),
+            feature_index=feature,
             threshold=float(_expect(body, "t", (int, float), f"{path}.split")),
-            left=_decode_tree(_expect(body, "l", dict, f"{path}.split"), f"{path}.split.l"),
-            right=_decode_tree(_expect(body, "r", dict, f"{path}.split"), f"{path}.split.r"),
+            left=_decode_tree(
+                _expect(body, "l", dict, f"{path}.split"), f"{path}.split.l", features
+            ),
+            right=_decode_tree(
+                _expect(body, "r", dict, f"{path}.split"), f"{path}.split.r", features
+            ),
         )
     raise CorruptArtifact(path, "unknown tree node tag")
 
@@ -227,8 +238,9 @@ def _decode_tree(doc, path):
 _KNOWN_KINDS = (KIND_LINEAR, KIND_TREE, KIND_BAGGING, KIND_FOREST, KIND_GBM, KIND_XGB)
 
 
-def _decode_model(kind, payload):
+def _decode_model(kind, payload, n_features):
     path = "model_payload"
+    features = range(n_features)
     if kind not in _KNOWN_KINDS:
         raise CorruptArtifact("model_kind", f"unknown kind {kind!r}")
     if kind == KIND_LINEAR:
@@ -239,9 +251,9 @@ def _decode_model(kind, payload):
             used_ridge_fallback=bool(payload.get("used_ridge_fallback", False)),
         )
     if kind == KIND_TREE:
-        return _decode_tree(_expect(payload, "tree", dict, path), f"{path}.tree")
+        return _decode_tree(_expect(payload, "tree", dict, path), f"{path}.tree", features)
     trees = [
-        _decode_tree(doc, f"{path}.trees[{i}]")
+        _decode_tree(doc, f"{path}.trees[{i}]", features)
         for i, doc in enumerate(_expect(payload, "trees", list, path))
     ]
     if kind in (KIND_BAGGING, KIND_FOREST):
@@ -293,11 +305,19 @@ def _decode_pipeline(doc):
     )
 
 
+def _reject_constant(name):
+    # the writer never emits NaN or infinity, so a reader meeting one has
+    # a damaged or hand-edited file
+    raise CorruptArtifact("<document>", f"non-finite number {name}")
+
+
 def load(path) -> ModelArtifact:
     """Read and validate an artifact; the inverse of :func:`save`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise ArtifactError(f"cannot read artifact {str(path)!r}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptArtifact("<document>", str(exc)) from None
     if not isinstance(doc, dict):
@@ -310,7 +330,9 @@ def load(path) -> ModelArtifact:
     created = _expect(doc, "created_utc", str, "<document>")
     pipeline = _decode_pipeline(_expect(doc, "pipeline", dict, "<document>"))
     kind = _expect(doc, "model_kind", str, "<document>")
-    model = _decode_model(kind, _expect(doc, "model_payload", dict, "<document>"))
+    model = _decode_model(
+        kind, _expect(doc, "model_payload", dict, "<document>"), len(pipeline.feature_names)
+    )
     meta_doc = _expect(doc, "training_meta", dict, "<document>")
     meta = {
         "seed": int(_expect(meta_doc, "seed", int, "training_meta")),

@@ -5,6 +5,13 @@ Folds come from one shuffle-then-chunk pass of the documented PRNG, so a
 are enumerated as the Cartesian product in the declared parameter and
 value order; the best combination is the one with the highest mean fold
 R-squared, earliest enumeration winning ties.
+
+Boosting is stage-wise, so the first k trees of a larger fit are exactly
+the k-tree model. A boosting grid (``gbm``/``xgb``) therefore fits only
+the largest ``n_estimators`` of each group of combinations that differ in
+nothing else, once per fold, and scores every smaller size on that fit's
+staged prediction; the fold scores are bit-identical to fitting each size
+on its own.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .errors import BadK
 from .metrics import r2
-from .models import fit_model, predict
+from .models import BOOSTING_KINDS, fit_model, predict, staged_predict
 from .rng import Xoshiro256StarStar, derive_seed
 
 DEFAULT_FOLDS = 5
@@ -122,6 +129,15 @@ def kfold_indices(n: int, k: int, seed: int = 0) -> list[np.ndarray]:
     return folds
 
 
+def _fold_splits(n: int, k: int, seed: int):
+    """(fold index, training rows, validation rows) of each fold."""
+    all_idx = np.arange(n, dtype=np.intp)
+    for f, val_idx in enumerate(kfold_indices(n, k, seed)):
+        train_mask = np.ones(n, dtype=bool)
+        train_mask[val_idx] = False
+        yield f, all_idx[train_mask], val_idx
+
+
 def cross_val_r2(
     model_spec: tuple[str, dict | None], X, y, k: int = DEFAULT_FOLDS, seed: int = 0
 ) -> list[float]:
@@ -134,16 +150,61 @@ def cross_val_r2(
     kind, params = model_spec
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    folds = kfold_indices(X.shape[0], k, seed)
-    all_idx = np.arange(X.shape[0], dtype=np.intp)
     scores = []
-    for f, val_idx in enumerate(folds):
-        train_mask = np.ones(X.shape[0], dtype=bool)
-        train_mask[val_idx] = False
-        train_idx = all_idx[train_mask]
+    for f, train_idx, val_idx in _fold_splits(X.shape[0], k, seed):
         try:
             model = fit_model(kind, X[train_idx], y[train_idx], params, derive_seed(seed, f))
             scores.append(float(r2(y[val_idx], predict(model, X[val_idx]))))
+        except Exception as exc:
+            exc.fold = f  # type: ignore[attr-defined]
+            raise
+    return scores
+
+
+def _is_size(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _size_groups(model_kind: str, combos: list[dict]) -> list[list[int]] | None:
+    """Indices of the combinations that differ only in ``n_estimators``,
+    grouped in order of first appearance; None when prefix scoring does
+    not apply (not a boosting kind, or a size missing or not an int >= 1)."""
+    if model_kind not in BOOSTING_KINDS or not all(
+        _is_size(params.get("n_estimators")) for params in combos
+    ):
+        return None
+    keys: list[list] = []
+    groups: list[list[int]] = []
+    for i, params in enumerate(combos):
+        # typed pairs, compared with ==, so that 1, 1.0 and True stay apart
+        # and unhashable values from a JSON grid still group
+        key = [(name, type(v), v) for name, v in params.items() if name != "n_estimators"]
+        for g, other in enumerate(keys):
+            if other == key:
+                groups[g].append(i)
+                break
+        else:
+            keys.append(key)
+            groups.append([i])
+    return groups
+
+
+def _staged_cv_r2(model_kind, combos, group, X, y, k, seed) -> dict[int, list[float]]:
+    """Fold scores of every combination in ``group``, from one fit per
+    fold at the group's largest ``n_estimators``."""
+    sizes = {i: combos[i]["n_estimators"] for i in group}
+    largest = max(group, key=lambda i: sizes[i])
+    scores: dict[int, list[float]] = {i: [] for i in group}
+    for f, train_idx, val_idx in _fold_splits(X.shape[0], k, seed):
+        try:
+            model = fit_model(
+                model_kind, X[train_idx], y[train_idx], combos[largest], derive_seed(seed, f)
+            )
+            y_val = y[val_idx]
+            for stage, pred in enumerate(staged_predict(model, X[val_idx])):
+                for i in group:
+                    if sizes[i] == stage:
+                        scores[i].append(float(r2(y_val, pred)))
         except Exception as exc:
             exc.fold = f  # type: ignore[attr-defined]
             raise
@@ -155,16 +216,27 @@ def grid_search(
 ) -> CvResult:
     """Evaluate every grid combination with the same folds.
 
-    Refitting on the full training set with ``best_params`` is the
-    caller's step; this function only ranks combinations.
+    For the boosting kinds, combinations that differ only in
+    ``n_estimators`` share one fit per fold at their largest size, and
+    smaller sizes are scored on its stage-wise prefixes; the scores equal
+    those of :func:`cross_val_r2` bit for bit. Refitting on the full
+    training set with ``best_params`` is the caller's step; this function
+    only ranks combinations.
     """
     combos = grid.combinations()
-    fold_scores = []
-    means = []
-    for params in combos:
-        scores = cross_val_r2((model_kind, params), X, y, k, seed)
-        fold_scores.append(tuple(scores))
-        means.append(float(np.mean(scores)))
+    groups = _size_groups(model_kind, combos)
+    if groups is None:
+        fold_scores = [
+            tuple(cross_val_r2((model_kind, params), X, y, k, seed)) for params in combos
+        ]
+    else:
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        by_index: dict[int, list[float]] = {}
+        for group in groups:
+            by_index.update(_staged_cv_r2(model_kind, combos, group, X, y, k, seed))
+        fold_scores = [tuple(by_index[i]) for i in range(len(combos))]
+    means = [float(np.mean(scores)) for scores in fold_scores]
     best_index = 0
     for i, m in enumerate(means):
         if m > means[best_index]:

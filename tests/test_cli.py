@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,23 @@ def request_from_row(table, row, model="gbm"):
         v = table.column(c.name)[row]
         req[c.name] = float(v) if c.kind == NUMERIC else v
     req["model"] = model
+    return req
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden.mrp.json"
+
+
+def golden_request():
+    """A valid request for the golden artifact: each categorical feature
+    takes its first known class, each numeric feature 1.0."""
+    pipeline = json.loads(GOLDEN.read_text())["pipeline"]
+    classes = pipeline["encoder"]["classes"]
+    req = {
+        c["name"]: classes[c["name"]][0] if c["kind"] == "categorical" else 1.0
+        for c in pipeline["schema"]
+        if c["role"] == "feature"
+    }
+    req["model"] = "gbm"
     return req
 
 
@@ -190,6 +208,37 @@ class TestPredict:
         bad = tmp_path / "bad.mrp.json"
         bad.write_text("{not json")
         assert run("predict", "--artifact", str(bad), "--input", str(bad)) == 5
+
+    def test_missing_artifact_exit_five(self, tmp_path, capsys):
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(golden_request()))
+        code = run(
+            "predict", "--artifact", str(tmp_path / "nope.mrp.json"), "--input", str(req_path)
+        )
+        assert code == 5
+        assert "artifact error" in capsys.readouterr().err
+
+    def test_malformed_request_json_exit_three(self, trained, tmp_path, capsys):
+        req_path = tmp_path / "req.json"
+        req_path.write_text('{"budget": 1e6,')
+        assert run("predict", "--artifact", str(trained), "--input", str(req_path)) == 3
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("f", -1), ("f", 14), ("t", float("nan")), ("t", float("inf"))],
+    )
+    def test_golden_with_bad_split_exit_five(self, tmp_path, field, value):
+        """A split naming a column outside the 14 features, or a non-finite
+        threshold, is a corrupt artifact, not a prediction."""
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(golden_request()))
+        assert run("predict", "--artifact", str(GOLDEN), "--input", str(req_path)) == 0
+        doc = json.loads(GOLDEN.read_text())
+        doc["model_payload"]["trees"][0]["split"][field] = value
+        bad = tmp_path / "bad.mrp.json"
+        bad.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity as-is
+        assert run("predict", "--artifact", str(bad), "--input", str(req_path)) == 5
 
     def test_interactive_flow(self, trained, movies_table, monkeypatch, capsys):
         req = request_from_row(movies_table, row=3)

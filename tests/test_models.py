@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from movierev.models import (
     fit_xgb,
     predict,
     predict_tree,
+    staged_predict,
     staged_train_r2,
 )
 from movierev.models import _grow_tree  # engine-level check of the leaf formula
@@ -209,6 +211,24 @@ class TestCart:
             X = rs.rand(n, p)
             y = rs.rand(n)
             config = TreeConfig(max_depth=depth)
+            got = tree_structure(fit_cart(X, y, config, rng_seed=trial))
+            assert got == oracle_tree(X, y, 0, config)
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_matches_oracle_on_tie_heavy_columns(self, min_leaf):
+        # integer columns with at most 5 distinct values: most sorted
+        # neighbours are equal, so node orders and tie-breaks are exercised
+        rs = np.random.RandomState(23)
+        for trial in range(30):
+            n = rs.randint(5, 90)
+            p = rs.randint(1, 5)
+            X = rs.randint(0, rs.randint(1, 6), size=(n, p)).astype(np.float64)
+            y = rs.rand(n)
+            config = TreeConfig(
+                max_depth=[1, 2, 4, None][trial % 4],
+                min_samples_split=[2, 5][trial % 2],
+                min_samples_leaf=min_leaf,
+            )
             got = tree_structure(fit_cart(X, y, config, rng_seed=trial))
             assert got == oracle_tree(X, y, 0, config)
 
@@ -463,6 +483,23 @@ class TestStagedR2:
         model = fit_xgb(X, y, 8, 0.3, TreeConfig(max_depth=2))
         curve = staged_train_r2(model, X, y)
         assert curve[-1][1] == r2(y, predict(model, X))
+
+    def test_stages_are_the_truncated_models(self):
+        from movierev.metrics import r2
+
+        rs = np.random.RandomState(24)
+        X = rs.rand(40, 3)
+        y = rs.rand(40)
+        for model in (
+            fit_gbm(X, y, 7, 0.3, TreeConfig(max_depth=2)),
+            fit_xgb(X, y, 7, 0.3, TreeConfig(max_depth=2), reg_lambda=1.0, reg_gamma=0.01),
+        ):
+            stages = list(staged_predict(model, X))
+            assert len(stages) == 8
+            for k, pred in enumerate(stages):
+                cut = replace(model, trees=model.trees[:k])
+                assert np.array_equal(pred, predict(cut, X))
+            assert staged_train_r2(model, X, y)[-1][1] == r2(y, predict(model, X))
 
     def test_non_decreasing(self):
         rs = np.random.RandomState(18)

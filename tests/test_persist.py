@@ -132,6 +132,30 @@ class TestErrors:
         with pytest.raises(SchemaHashMismatch):
             persist.check_schema_hash(loaded)
 
+    def test_feature_index_outside_schema_names_path(self, fitted, tmp_path):
+        artifact, X = fitted
+        path = tmp_path / "model.mrp.json"
+        save(artifact, path)
+        for bad in (-1, X.shape[1]):
+            doc = json.loads(path.read_text())
+            doc["model_payload"]["trees"][0]["split"]["f"] = bad
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CorruptArtifact) as err:
+                load(path)
+            assert err.value.field_path == "model_payload.trees[0].split.f"
+
+    def test_non_finite_number_rejected(self, fitted, tmp_path):
+        artifact, _ = fitted
+        path = tmp_path / "model.mrp.json"
+        save(artifact, path)
+        good = path.read_text()
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            doc = json.loads(good)
+            doc["model_payload"]["init_value"] = "@"
+            path.write_text(json.dumps(doc).replace('"@"', constant))
+            with pytest.raises(CorruptArtifact):
+                load(path)
+
     def test_unknown_model_kind(self, fitted, tmp_path):
         artifact, _ = fitted
         path = tmp_path / "model.mrp.json"

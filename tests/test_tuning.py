@@ -167,3 +167,79 @@ class TestGridSearch:
 
         payload = json.loads(result.to_json())
         assert payload["best_params"] == result.best_params
+
+
+def _per_combination(kind, grid, X, y, k, seed):
+    """The grid search spelled out: every combination cross-validated on
+    its own, the first highest mean winning."""
+    combos = grid.combinations()
+    folds = [tuple(cross_val_r2((kind, params), X, y, k, seed)) for params in combos]
+    means = [float(np.mean(f)) for f in folds]
+    best = 0
+    for i, m in enumerate(means):
+        if m > means[best]:
+            best = i
+    return CvResult(tuple(combos), tuple(folds), tuple(means), best)
+
+
+class TestBoostingPrefixGrid:
+    def _data(self):
+        rs = np.random.RandomState(25)
+        X = rs.rand(60, 3)
+        y = 2.0 * X[:, 0] - X[:, 1] + rs.randn(60) * 0.3
+        return X, y
+
+    @pytest.mark.parametrize("kind", ["gbm", "xgb"])
+    def test_equals_per_combination_cross_validation(self, kind):
+        X, y = self._data()
+        grid = ParamGrid((
+            ("n_estimators", (6, 2, 6, 4)),  # unsorted, with a duplicate
+            ("max_depth", (2, 3)),
+            ("learning_rate", (0.3,)),
+            ("reg_gamma", (0.0, 0.02)),
+        ))
+        got = grid_search(kind, grid, X, y, k=3, seed=4)
+        assert got == _per_combination(kind, grid, X, y, 3, 4)
+        if kind == "xgb":
+            # the gamma axis must prune some split, or it tests nothing
+            scores = {tuple(c.values()): f for c, f in zip(got.combinations, got.fold_scores)}
+            assert scores[(6, 3, 0.3, 0.0)] != scores[(6, 3, 0.3, 0.02)]
+
+    def test_fits_each_group_once_per_fold_at_its_largest_size(self, monkeypatch):
+        from movierev import tuning
+
+        fitted = []
+        real_fit = tuning.fit_model
+
+        def counting_fit(kind, X, y, params, seed):
+            fitted.append(dict(params))
+            return real_fit(kind, X, y, params, seed)
+
+        monkeypatch.setattr(tuning, "fit_model", counting_fit)
+        X, y = self._data()
+        grid = ParamGrid((("n_estimators", (2, 5, 3)), ("max_depth", (2, 3))))
+        grid_search("gbm", grid, X, y, k=3, seed=0)
+        assert fitted == [{"n_estimators": 5, "max_depth": 2}] * 3 + [
+            {"n_estimators": 5, "max_depth": 3}
+        ] * 3
+
+    def test_zero_size_raises_with_fold(self):
+        X, y = self._data()
+        grid = ParamGrid((("n_estimators", (3, 0)), ("max_depth", (2,))))
+        with pytest.raises(ValueError) as err:
+            grid_search("gbm", grid, X, y, k=3, seed=0)
+        assert err.value.fold == 0
+
+    @pytest.mark.parametrize("sizes", [(3, 0), (2, True), (2, 2.0), (4, None)])
+    def test_unusual_sizes_behave_as_per_combination(self, sizes):
+        def outcome(search):
+            try:
+                return search()
+            except Exception as exc:
+                return type(exc), str(exc), getattr(exc, "fold", None)
+
+        X, y = self._data()
+        grid = ParamGrid((("n_estimators", sizes),))
+        assert outcome(lambda: grid_search("xgb", grid, X, y, k=3, seed=0)) == outcome(
+            lambda: _per_combination("xgb", grid, X, y, 3, 0)
+        )
