@@ -96,6 +96,11 @@ class DimensionMismatch(ModelError):
         self.got = got
 
 
+class NonFiniteSplit(ModelError):
+    """Split scores overflowed to infinity or became NaN, so the best
+    split cannot be told; the targets are too large or not finite."""
+
+
 class BadK(ModelError):
     """Fold count outside 2 <= k <= n."""
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularAfterRidge
+from .errors import DimensionMismatch, NonFiniteSplit, SingularAfterRidge
 from .metrics import r2 as _r2_score
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -164,6 +164,8 @@ def _best_split(X, g, srows, feats, total, min_leaf, lam):
     best = masked[j, b]
     if best == -math.inf:
         return None
+    if not math.isfinite(best):
+        raise NonFiniteSplit("split scores overflowed or are NaN; rescale the target")
     return float(best), int(feats[j]), float(thresholds[j, b])
 
 
@@ -274,11 +276,7 @@ def _tree_predict_matrix(tree, X):
 
 def predict_tree(tree: TreeNode, x) -> float:
     """Route a single feature row to its leaf value."""
-    x = np.asarray(x, dtype=np.float64)
-    node = tree
-    while isinstance(node, Split):
-        node = node.left if x[node.feature_index] < node.threshold else node.right
-    return node.value
+    return float(_tree_predict_matrix(tree, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ColumnSpec
+from .dataset import FEATURE, ColumnSpec
 from .errors import ArtifactError, CorruptArtifact, SchemaHashMismatch, VersionMismatch
 from .models import (
     KIND_BAGGING,
@@ -180,7 +180,12 @@ def _canon_meta(meta: dict) -> dict:
 
 
 def save(artifact: ModelArtifact, path) -> None:
-    data = dumps_canonical(artifact).encode("utf-8")
+    """Write the canonical bytes; a tree nested too deep to encode raises
+    ``ArtifactError`` before the file is opened."""
+    try:
+        data = dumps_canonical(artifact).encode("utf-8")
+    except RecursionError:
+        raise ArtifactError("a tree is nested too deep to save as a v1 artifact") from None
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -296,6 +301,9 @@ def _decode_pipeline(doc):
         )
         for i, c in enumerate(schema_doc)
     )
+    features = sorted(c.name for c in schema if c.role == FEATURE)
+    if scaler is not None and not sorted(scaler.means) == sorted(scaler.stds) == features:
+        raise CorruptArtifact(f"{path}.scaler", "columns differ from the schema's features")
     return Pipeline(
         encoder=encoder,
         scaler=scaler,
@@ -316,10 +324,16 @@ def load(path) -> ModelArtifact:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
+        return _decode_document(doc)
     except OSError as exc:
         raise ArtifactError(f"cannot read artifact {str(path)!r}: {exc.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptArtifact("<document>", str(exc)) from None
+    except RecursionError:
+        raise CorruptArtifact("<document>", "nested too deep to read") from None
+
+
+def _decode_document(doc) -> ModelArtifact:
     if not isinstance(doc, dict):
         raise CorruptArtifact("<document>", "not a JSON object")
     version = _expect(doc, "format_version", int, "<document>")

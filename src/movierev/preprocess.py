@@ -12,6 +12,7 @@ training rows only; transforming other tables never mutates the pipeline.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +33,9 @@ class EncoderMap:
         """(code, known). Unseen values get the sentinel code k, one past
         the last fitted class."""
         classes = self.classes[column]
-        lo, hi = 0, len(classes)
-        while lo < hi:  # bisect over the sorted class list
-            mid = (lo + hi) // 2
-            if classes[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(classes) and classes[lo] == value:
-            return float(lo), True
+        i = bisect_left(classes, value)
+        if i < len(classes) and classes[i] == value:
+            return float(i), True
         return float(len(classes)), False
 
     def decode(self, column: str, code: int) -> str:
@@ -147,18 +142,24 @@ def expm1_inverse(values) -> np.ndarray:
     return np.expm1(np.asarray(values, dtype=np.float64))
 
 
-def fit_pipeline(table: DataTable, scale: bool = True, log_money: bool = True) -> Pipeline:
-    """Fit the full encode / log / scale pipeline on a cleaned table."""
-    encoder = fit_encoders(table)
-    encoded, _ = encode_table(table, encoder)
-    if log_money and MONEY_FEATURE in encoded.columns:
+def _encode_log(table: DataTable, encoder: EncoderMap, log_budget: bool):
+    """Stages 1 and 2: (encoded table, unseen-category warnings)."""
+    encoded, warnings = encode_table(table, encoder)
+    if log_budget and ColumnSpec(MONEY_FEATURE, NUMERIC, FEATURE) in encoded.schema:
         columns = dict(encoded.columns)
-        columns[MONEY_FEATURE] = log1p_transform(encoded.column(MONEY_FEATURE))
+        columns[MONEY_FEATURE] = log1p_transform(columns[MONEY_FEATURE])
         encoded = DataTable(encoded.schema, columns)
+    return encoded, warnings
+
+
+def fit_pipeline(table: DataTable, scale: bool = True, log_money: bool = True) -> Pipeline:
+    """Fit the full encode / log / scale pipeline on a cleaned table; the
+    table is encoded and logged only for the scaler statistics."""
+    encoder = fit_encoders(table)
     scaler = None
     if scale:
-        feature_names = [c.name for c in table.schema if c.role == FEATURE]
-        scaler = fit_scaler(encoded, feature_names)
+        encoded, _ = _encode_log(table, encoder, log_money)
+        scaler = fit_scaler(encoded, [c.name for c in table.schema if c.role == FEATURE])
     return Pipeline(
         encoder=encoder,
         scaler=scaler,
@@ -195,23 +196,13 @@ def transform_with_warnings(
     schema order.
     """
     has_target = _check_schema(pipeline, table)
-    encoded, warnings = encode_table(table, pipeline.encoder)
-    feature_names = pipeline.feature_names
-
-    feature_cols = {name: np.asarray(encoded.column(name)) for name in feature_names}
-    if pipeline.log_budget and MONEY_FEATURE in feature_cols:
-        feature_cols[MONEY_FEATURE] = log1p_transform(feature_cols[MONEY_FEATURE])
+    encoded, warnings = _encode_log(table, pipeline.encoder, pipeline.log_budget)
     if pipeline.scaler is not None:
-        for name in feature_names:
-            std = pipeline.scaler.stds[name]
-            feature_cols[name] = (feature_cols[name] - pipeline.scaler.means[name]) / (
-                std if std > 0.0 else 1.0
-            )
-
-    matrix = np.column_stack([feature_cols[name] for name in feature_names])
+        encoded = apply_scaler(encoded, pipeline.scaler)
+    matrix = np.column_stack([encoded.column(name) for name in pipeline.feature_names])
     target = None
     if has_target:
-        target = np.asarray(encoded.column(pipeline.target_name), dtype=np.float64)
+        target = encoded.column(pipeline.target_name)
         if pipeline.log_target:
             target = log1p_transform(target)
     return matrix, target, warnings

@@ -7,11 +7,12 @@ value order; the best combination is the one with the highest mean fold
 R-squared, earliest enumeration winning ties.
 
 Boosting is stage-wise, so the first k trees of a larger fit are exactly
-the k-tree model. A boosting grid (``gbm``/``xgb``) therefore fits only
-the largest ``n_estimators`` of each group of combinations that differ in
-nothing else, once per fold, and scores every smaller size on that fit's
-staged prediction; the fold scores are bit-identical to fitting each size
-on its own.
+the k-tree model. Combinations are therefore scored in groups by one fold
+loop: a boosting grid (``gbm``/``xgb``) groups the combinations that
+differ only in a valid ``n_estimators``, fits the largest once per fold,
+and scores every smaller size on that fit's staged prediction; every
+other combination is a group of one, scored on ``predict``. Either way
+the fold scores are bit-identical to fitting each combination on its own.
 """
 
 from __future__ import annotations
@@ -148,63 +149,54 @@ def cross_val_r2(
     scoring carry the fold index in a ``fold`` attribute.
     """
     kind, params = model_spec
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    scores = []
-    for f, train_idx, val_idx in _fold_splits(X.shape[0], k, seed):
-        try:
-            model = fit_model(kind, X[train_idx], y[train_idx], params, derive_seed(seed, f))
-            scores.append(float(r2(y[val_idx], predict(model, X[val_idx]))))
-        except Exception as exc:
-            exc.fold = f  # type: ignore[attr-defined]
-            raise
-    return scores
+    return _group_cv_r2(kind, [params], X, y, k, seed)[0]
 
 
 def _is_size(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _size_groups(model_kind: str, combos: list[dict]) -> list[list[int]] | None:
-    """Indices of the combinations that differ only in ``n_estimators``,
-    grouped in order of first appearance; None when prefix scoring does
-    not apply (not a boosting kind, or a size missing or not an int >= 1)."""
-    if model_kind not in BOOSTING_KINDS or not all(
-        _is_size(params.get("n_estimators")) for params in combos
-    ):
-        return None
-    keys: list[list] = []
+def _size_groups(model_kind: str, combos: list[dict]) -> list[list[int]]:
+    """Indices of the combinations that differ only in a valid
+    ``n_estimators`` (an int >= 1), grouped in order of first appearance.
+    Every other combination (not a boosting kind, or a size missing or
+    invalid) is a group of its own."""
+    keys: list = []
     groups: list[list[int]] = []
     for i, params in enumerate(combos):
-        # typed pairs, compared with ==, so that 1, 1.0 and True stay apart
-        # and unhashable values from a JSON grid still group
-        key = [(name, type(v), v) for name, v in params.items() if name != "n_estimators"]
-        for g, other in enumerate(keys):
-            if other == key:
-                groups[g].append(i)
-                break
-        else:
-            keys.append(key)
-            groups.append([i])
+        key = None
+        if model_kind in BOOSTING_KINDS and _is_size(params.get("n_estimators")):
+            # typed pairs, compared with ==, so that 1, 1.0 and True stay
+            # apart and unhashable values from a JSON grid still group
+            key = [(name, type(v), v) for name, v in params.items() if name != "n_estimators"]
+            if key in keys:
+                groups[keys.index(key)].append(i)
+                continue
+        keys.append(key)
+        groups.append([i])
     return groups
 
 
-def _staged_cv_r2(model_kind, combos, group, X, y, k, seed) -> dict[int, list[float]]:
-    """Fold scores of every combination in ``group``, from one fit per
-    fold at the group's largest ``n_estimators``."""
-    sizes = {i: combos[i]["n_estimators"] for i in group}
-    largest = max(group, key=lambda i: sizes[i])
-    scores: dict[int, list[float]] = {i: [] for i in group}
+def _group_cv_r2(kind, members: list[dict | None], X, y, k, seed) -> list[list[float]]:
+    """Fold scores of each member of a group of recipes that differ only
+    in ``n_estimators``, from one fit per fold of the largest member. A
+    lone member is scored on ``predict``, a larger group on the staged
+    prefixes of the boosting fit."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    fitted = members[0] if len(members) == 1 else max(members, key=lambda p: p["n_estimators"])
+    scores: list[list[float]] = [[] for _ in members]
     for f, train_idx, val_idx in _fold_splits(X.shape[0], k, seed):
         try:
-            model = fit_model(
-                model_kind, X[train_idx], y[train_idx], combos[largest], derive_seed(seed, f)
-            )
-            y_val = y[val_idx]
-            for stage, pred in enumerate(staged_predict(model, X[val_idx])):
-                for i in group:
-                    if sizes[i] == stage:
-                        scores[i].append(float(r2(y_val, pred)))
+            model = fit_model(kind, X[train_idx], y[train_idx], fitted, derive_seed(seed, f))
+            X_val, y_val = X[val_idx], y[val_idx]
+            if len(members) == 1:
+                scores[0].append(float(r2(y_val, predict(model, X_val))))
+                continue
+            for stage, pred in enumerate(staged_predict(model, X_val)):
+                for fold_scores, params in zip(scores, members):
+                    if params["n_estimators"] == stage:
+                        fold_scores.append(float(r2(y_val, pred)))
         except Exception as exc:
             exc.fold = f  # type: ignore[attr-defined]
             raise
@@ -216,26 +208,19 @@ def grid_search(
 ) -> CvResult:
     """Evaluate every grid combination with the same folds.
 
-    For the boosting kinds, combinations that differ only in
-    ``n_estimators`` share one fit per fold at their largest size, and
-    smaller sizes are scored on its stage-wise prefixes; the scores equal
-    those of :func:`cross_val_r2` bit for bit. Refitting on the full
-    training set with ``best_params`` is the caller's step; this function
-    only ranks combinations.
+    Each group of :func:`_size_groups` is scored by the one fold loop,
+    with one fit per fold: a boosting group at its largest
+    ``n_estimators``, smaller sizes on that fit's stage-wise prefixes.
+    The scores equal those of :func:`cross_val_r2` bit for bit.
+    Refitting on the full training set with ``best_params`` is the
+    caller's step; this function only ranks combinations.
     """
     combos = grid.combinations()
-    groups = _size_groups(model_kind, combos)
-    if groups is None:
-        fold_scores = [
-            tuple(cross_val_r2((model_kind, params), X, y, k, seed)) for params in combos
-        ]
-    else:
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        by_index: dict[int, list[float]] = {}
-        for group in groups:
-            by_index.update(_staged_cv_r2(model_kind, combos, group, X, y, k, seed))
-        fold_scores = [tuple(by_index[i]) for i in range(len(combos))]
+    fold_scores: list[tuple[float, ...]] = [()] * len(combos)
+    for group in _size_groups(model_kind, combos):
+        members = [combos[i] for i in group]
+        for i, scores in zip(group, _group_cv_r2(model_kind, members, X, y, k, seed)):
+            fold_scores[i] = tuple(scores)
     means = [float(np.mean(scores)) for scores in fold_scores]
     best_index = 0
     for i, m in enumerate(means):

@@ -7,7 +7,7 @@ import pytest
 
 from movierev import models, persist, preprocess
 from movierev.cli import main
-from movierev.dataset import FEATURE, NUMERIC, DataTable
+from movierev.dataset import FEATURE, NUMERIC, DataTable, write_csv
 
 
 def run(*argv):
@@ -40,6 +40,13 @@ def golden_request():
     }
     req["model"] = "gbm"
     return req
+
+
+def edited_csv(tmp_path, table, **columns):
+    """``table`` with some columns replaced, written as a CSV."""
+    path = tmp_path / "edited.csv"
+    write_csv(DataTable(table.schema, {**table.columns, **columns}), path)
+    return path
 
 
 @pytest.fixture()
@@ -141,6 +148,28 @@ class TestTrain:
         report = json.loads((tmp_path / "m.report.json").read_text())
         assert report["train"]["target_space"] == "raw"
 
+    @pytest.mark.parametrize("model", ["tree", "linear"])
+    def test_budget_at_or_below_minus_one_exit_three(self, tmp_path, movies_table, model, capsys):
+        budget = np.where(np.arange(movies_table.row_count) % 3 == 0, -1.0, 5e6)
+        data = edited_csv(tmp_path, movies_table, budget=budget)
+        out = tmp_path / "m.mrp.json"
+        assert run("train", "--data", str(data), "--model", model, "--out", str(out)) == 3
+        assert "log1p requires every input > -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_split_scores_exit_four(self, tmp_path, movies_table, capsys):
+        gross = 1e165 * (1.0 + np.arange(movies_table.row_count))
+        data = edited_csv(tmp_path, movies_table, gross=gross)
+        out = tmp_path / "m.mrp.json"
+        with np.errstate(all="ignore"):
+            code = run(
+                "train", "--data", str(data), "--model", "tree", "--no-log-money",
+                "--out", str(out),
+            )
+        assert code == 4
+        assert "model error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_raw_space_metrics_flag(self, tmp_path, movies_csv):
         out = tmp_path / "m.mrp.json"
         code = run(
@@ -239,6 +268,26 @@ class TestPredict:
         bad = tmp_path / "bad.mrp.json"
         bad.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity as-is
         assert run("predict", "--artifact", str(bad), "--input", str(req_path)) == 5
+
+    def test_too_deep_artifact_exit_five(self, tmp_path, capsys):
+        """The golden pipeline with a tree of 3 or 700 levels: the deep one
+        nests past what the JSON reader allows, and must exit 5 rather
+        than end in a traceback."""
+        req = golden_request()
+        req["model"] = "tree"
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(req))
+        doc = json.loads(GOLDEN.read_text())
+        doc["model_kind"] = "tree"
+        doc["model_payload"] = {"tree": "@"}
+        for depth, code in ((3, 0), (700, 5)):
+            leaf = '{"leaf":{"n":1,"v":0.5}}'
+            tree = '{"split":{"f":0,"t":0.5,"l":' + leaf + ',"r":'
+            nested = tree * depth + leaf + "}}" * depth
+            path = tmp_path / f"deep{depth}.mrp.json"
+            path.write_text(json.dumps(doc).replace('"@"', nested))
+            assert run("predict", "--artifact", str(path), "--input", str(req_path)) == code
+        assert "artifact error" in capsys.readouterr().err
 
     def test_interactive_flow(self, trained, movies_table, monkeypatch, capsys):
         req = request_from_row(movies_table, row=3)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from movierev.errors import DimensionMismatch, SingularAfterRidge
+from movierev.errors import DimensionMismatch, ModelError, NonFiniteSplit, SingularAfterRidge
 from movierev.models import (
     EnsembleModel,
     Leaf,
@@ -170,6 +170,22 @@ class TestCart:
         assert (tree.left.value, tree.right.value) == (0.0, 1.0)
         assert (tree.left.n_samples, tree.right.n_samples) == (2, 2)
 
+    def test_overflowing_split_scores_raise(self):
+        # every target is finite, but squared gradient sums overflow, and
+        # the root would split at 0.5 where the SSE optimum is 397.5
+        X = np.arange(400.0).reshape(-1, 1)
+        y = np.array([2.0 ** (i + 150) for i in range(400)])
+        assert np.all(np.isfinite(y))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteSplit) as err:
+            fit_cart(X, y, TreeConfig(max_depth=1))
+        assert isinstance(err.value, ModelError)
+
+    def test_nan_target_raises(self):
+        X = np.arange(6.0).reshape(-1, 1)
+        y = np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0])
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteSplit):
+            fit_cart(X, y)
+
     def test_constant_target_is_single_leaf(self):
         tree = fit_cart([[0.0], [5.0], [9.0]], [4.0, 4.0, 4.0])
         assert isinstance(tree, Leaf)
@@ -255,6 +271,15 @@ class TestPredict:
         assert predict_tree(tree, [2.9]) == 1.0
         assert predict_tree(tree, [1.4]) == 0.0
         assert predict_tree(tree, [1.5]) == 1.0  # boundary goes right
+
+    def test_single_row_walk_equals_matrix_walk(self):
+        rs = np.random.RandomState(11)
+        X = rs.rand(80, 3)
+        tree = fit_cart(X, X[:, 0] * 2.0 + rs.rand(80), TreeConfig(max_depth=5))
+        Xq = rs.rand(30, 3)
+        rows = [predict_tree(tree, x) for x in Xq]
+        assert all(type(v) is float for v in rows)
+        assert rows == predict(tree, Xq).tolist()
 
     def test_bagging_mean_of_equal_trees(self):
         model = EnsembleModel(

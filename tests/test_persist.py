@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from movierev import models, persist, preprocess
-from movierev.errors import CorruptArtifact, SchemaHashMismatch, VersionMismatch
+from movierev.errors import (
+    ArtifactError,
+    CorruptArtifact,
+    SchemaHashMismatch,
+    VersionMismatch,
+)
 from movierev.persist import (
     dumps_canonical,
     load,
@@ -23,6 +28,15 @@ def fitted(movies_table):
     artifact = make_artifact(pipeline, "gbm", model, seed=42,
                              params={"n_estimators": 8, "learning_rate": 0.3})
     return artifact, X
+
+
+def split_chain(depth):
+    """A legal tree of ``depth`` levels: each split's right child splits
+    again."""
+    node = models.Leaf(0.0, 1)
+    for level in range(depth):
+        node = models.Split(0, float(level), models.Leaf(1.0, 1), node)
+    return node
 
 
 class TestRoundTrip:
@@ -155,6 +169,34 @@ class TestErrors:
             path.write_text(json.dumps(doc).replace('"@"', constant))
             with pytest.raises(CorruptArtifact):
                 load(path)
+
+    def test_too_deep_tree_is_not_saved(self, fitted, tmp_path):
+        pipeline = fitted[0].pipeline
+        shallow = tmp_path / "shallow.mrp.json"
+        save(make_artifact(pipeline, "tree", split_chain(50), seed=0), shallow)
+        assert load(shallow).model_kind == "tree"
+        path = tmp_path / "deep.mrp.json"
+        with pytest.raises(ArtifactError):
+            save(make_artifact(pipeline, "tree", split_chain(600), seed=0), path)
+        assert not path.exists()
+
+    def test_scaler_columns_must_match_features(self, movies_table, tmp_path):
+        pipeline = preprocess.fit_pipeline(movies_table, scale=True)
+        X, y = preprocess.transform(pipeline, movies_table)
+        path = tmp_path / "model.mrp.json"
+        save(make_artifact(pipeline, "linear", models.fit_ols(X, y), seed=0), path)
+        good = json.loads(path.read_text())
+        for change in ("drop", "target"):
+            doc = json.loads(json.dumps(good))
+            for stats in doc["pipeline"]["scaler"].values():
+                if change == "drop":
+                    del stats["budget"]
+                else:
+                    stats["gross"] = 1.0
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CorruptArtifact) as err:
+                load(path)
+            assert err.value.field_path == "pipeline.scaler"
 
     def test_unknown_model_kind(self, fitted, tmp_path):
         artifact, _ = fitted

@@ -6,6 +6,7 @@ import pytest
 from movierev.dataset import CATEGORICAL, FEATURE, NUMERIC, TARGET, ColumnSpec, DataTable
 from movierev.errors import DomainError, SchemaMismatch
 from movierev.preprocess import (
+    EncoderMap,
     apply_scaler,
     encode_table,
     expm1_inverse,
@@ -50,6 +51,15 @@ class TestEncoders:
         assert enc.classes["rating"] == ("G", "PG-13", "R")
         codes = [enc.code("rating", v)[0] for v in ("G", "PG-13", "R")]
         assert codes == [0.0, 1.0, 2.0]
+
+    def test_nul_suffixed_value_stays_unseen(self):
+        # numpy str arrays drop trailing NULs, so "a\x00" must not be
+        # looked up as "a"
+        enc = EncoderMap({"rating": ("a", "b")})
+        assert enc.code("rating", "a\x00") == (2.0, False)
+        assert enc.code("rating", "a") == (0.0, True)
+        assert enc.code("rating", "") == (2.0, False)
+        assert enc.code("rating", "c") == (2.0, False)
 
     def test_order_invariant_under_row_permutation(self):
         values = ["d", "a", "c", "b", "a", "d"]
@@ -171,6 +181,18 @@ class TestPipeline:
         X, y = transform(pipe, train)
         assert np.allclose(X[:, 1], np.log1p([10.0, 100.0, 55.0, 70.0]))
         assert np.allclose(y, np.log1p([100.0, 900.0, 500.0, 600.0]))
+
+    def test_budget_at_or_below_minus_one_raises_on_transform(self):
+        train = make_table(["a", "b"], [10.0, -1.0], [100.0, 900.0])
+        with pytest.raises(DomainError):
+            fit_pipeline(train, scale=True, log_money=True)
+        # an unscaled pipeline does not encode the table, so the
+        # transform that follows is what rejects the budget
+        pipe = fit_pipeline(train, scale=False, log_money=True)
+        with pytest.raises(DomainError):
+            transform(pipe, train)
+        X, _ = transform(fit_pipeline(train, scale=False, log_money=False), train)
+        assert X[:, 1].tolist() == [10.0, -1.0]
 
     def test_scaled_train_columns_are_centered(self):
         train, _ = self._train_test()

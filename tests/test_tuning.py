@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from movierev.errors import BadK
+from movierev.metrics import r2
+from movierev.models import fit_model, predict
+from movierev.rng import derive_seed
 from movierev.tuning import (
     DEFAULT_GRID,
     CvResult,
@@ -81,6 +84,26 @@ class TestCrossVal:
         with pytest.raises(ValueError) as err:
             cross_val_r2(("linear", None), X, y, k=2, seed=0)
         assert hasattr(err.value, "fold")
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("linear", None),
+            ("tree", {"max_depth": 3}),
+            ("forest", {"n_estimators": 4, "max_depth": 3}),
+            ("gbm", {"n_estimators": 5, "max_depth": 2}),
+        ],
+    )
+    def test_equals_spelled_out_fold_loop(self, kind, params):
+        rs = np.random.RandomState(5)
+        X = rs.rand(45, 3)
+        y = X[:, 0] - 2.0 * X[:, 2] + rs.randn(45) * 0.2
+        expected = []
+        for f, val_idx in enumerate(kfold_indices(45, 4, seed=6)):
+            train_idx = np.setdiff1d(np.arange(45), val_idx)
+            model = fit_model(kind, X[train_idx], y[train_idx], params, derive_seed(6, f))
+            expected.append(float(r2(y[val_idx], predict(model, X[val_idx]))))
+        assert cross_val_r2((kind, params), X, y, k=4, seed=6) == expected
 
 
 class TestParamGrid:
@@ -189,7 +212,7 @@ class TestBoostingPrefixGrid:
         y = 2.0 * X[:, 0] - X[:, 1] + rs.randn(60) * 0.3
         return X, y
 
-    @pytest.mark.parametrize("kind", ["gbm", "xgb"])
+    @pytest.mark.parametrize("kind", ["gbm", "xgb", "tree", "forest"])
     def test_equals_per_combination_cross_validation(self, kind):
         X, y = self._data()
         grid = ParamGrid((
@@ -239,7 +262,9 @@ class TestBoostingPrefixGrid:
                 return type(exc), str(exc), getattr(exc, "fold", None)
 
         X, y = self._data()
-        grid = ParamGrid((("n_estimators", sizes),))
+        # a valid size 5 joins each valid size in a staged group, while
+        # the unusual one stays alone, once per depth
+        grid = ParamGrid((("n_estimators", sizes + (5,)), ("max_depth", (2, 3))))
         assert outcome(lambda: grid_search("xgb", grid, X, y, k=3, seed=0)) == outcome(
             lambda: _per_combination("xgb", grid, X, y, 3, 0)
         )
