@@ -43,17 +43,6 @@ MODEL_MENU = (
 )
 CLI_KINDS = tuple(kind for kind, _ in MODEL_MENU)
 
-_INTERNAL_KIND = {"forest": models.KIND_FOREST}
-_CLI_KIND = {models.KIND_FOREST: "forest"}
-
-
-def _to_internal(kind: str) -> str:
-    return _INTERNAL_KIND.get(kind, kind)
-
-
-def _to_cli(kind: str) -> str:
-    return _CLI_KIND.get(kind, kind)
-
 
 def _report_base(out_path: str) -> str:
     if out_path.endswith(persist.ARTIFACT_SUFFIX):
@@ -74,15 +63,14 @@ def _print_reports(model_id: str, reports: list[metrics.EvalReport]) -> None:
 
 
 def _write_reports(base: str, model_id: str, reports: list[metrics.EvalReport]) -> None:
-    csv_lines = [metrics.EvalReport.CSV_HEADER]
-    csv_lines += [rep.csv_row(model_id) for rep in reports]
-    with open(base + ".report.csv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(csv_lines) + "\n")
+    _write_lines(
+        base + ".report.csv",
+        [metrics.EvalReport.CSV_HEADER] + [rep.csv_row(model_id) for rep in reports],
+    )
     payload = {"model": model_id}
     for rep in reports:
         payload[rep.split_label] = asdict(rep)
-    with open(base + ".report.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_lines(base + ".report.json", [json.dumps(payload, sort_keys=True, indent=2)])
 
 
 def _space_pair(y_eval, pred_eval, table: DataTable, pipeline, raw_space: bool):
@@ -110,6 +98,7 @@ def cmd_train(args) -> int:
     X_test, y_test = preprocess.transform(pipeline, test_t)
 
     params: dict = {}
+    cv = None
     if args.grid:
         if args.grid == "default":
             grid = tuning.ParamGrid(tuning.DEFAULT_GRID)
@@ -117,18 +106,10 @@ def cmd_train(args) -> int:
             grid = tuning.ParamGrid.from_json_file(args.grid)
         cv = tuning.grid_search(args.model, grid, X_train, y_train, seed=args.seed)
         params = cv.best_params
-        base = _report_base(args.out)
-        with open(base + ".cv.csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(cv.csv_lines()) + "\n")
         print(f"grid search best {params} (mean cv r2 {cv.best_score:.4f})")
 
     model = models.fit_model(args.model, X_train, y_train, params, args.seed)
-
-    if args.track_r2:
-        curve = models.staged_train_r2(model, X_train, y_train)
-        with open(args.track_r2, "w", encoding="utf-8") as fh:
-            fh.write("iteration,r2\n")
-            fh.writelines(f"{i},{repr(v)}\n" for i, v in curve)
+    curve = models.staged_train_r2(model, X_train, y_train) if args.track_r2 else None
 
     reports = []
     for label, t, X, y in (
@@ -141,12 +122,15 @@ def cmd_train(args) -> int:
         reports.append(metrics.eval_report(ys, preds, label, space))
 
     _print_reports(args.model, reports)
-    _write_reports(_report_base(args.out), args.model, reports)
 
-    artifact = persist.make_artifact(
-        pipeline, _to_internal(args.model), model, args.seed, params
-    )
-    persist.save(artifact, args.out)
+    # the artifact first: a model that cannot be saved leaves no files
+    persist.save(persist.make_artifact(pipeline, args.model, model, args.seed, params), args.out)
+    base = _report_base(args.out)
+    if cv is not None:
+        _write_lines(base + ".cv.csv", cv.csv_lines())
+    if curve is not None:
+        _write_lines(args.track_r2, ["iteration,r2"] + [f"{i},{v!r}" for i, v in curve])
+    _write_reports(base, args.model, reports)
     print(f"saved model artifact to {args.out}")
     return 0
 
@@ -227,16 +211,15 @@ def cmd_predict(args) -> int:
     persist.check_schema_hash(artifact)
     pipeline = artifact.pipeline
     feature_schema = tuple(c for c in pipeline.fitted_on_schema if c.role == FEATURE)
-    artifact_cli_kind = _to_cli(artifact.model_kind)
 
     if args.input:
         values, kind = _request_from_file(args.input, feature_schema)
-        if kind != artifact_cli_kind:
+        if kind != artifact.model_kind:
             raise InvalidField(
-                "model", f"artifact holds {artifact_cli_kind!r}, request asks for {kind!r}"
+                "model", f"artifact holds {artifact.model_kind!r}, request asks for {kind!r}"
             )
     else:
-        values, kind = _request_interactive(feature_schema, artifact_cli_kind)
+        values, kind = _request_interactive(feature_schema, artifact.model_kind)
 
     table = DataTable(feature_schema, {name: [v] for name, v in values.items()})
     X, _, warnings = preprocess.transform_with_warnings(pipeline, table)
@@ -337,11 +320,10 @@ def cmd_evaluate(args) -> int:
     ys, preds, space = _space_pair(
         y, pred, clean, artifact.pipeline, args.raw_space_metrics
     )
-    model_id = _to_cli(artifact.model_kind)
     rep = metrics.eval_report(ys, preds, "test", space)
-    _print_reports(model_id, [rep])
+    _print_reports(artifact.model_kind, [rep])
     if args.out:
-        _write_reports(_report_base(args.out), model_id, [rep])
+        _write_reports(_report_base(args.out), artifact.model_kind, [rep])
     return 0
 
 

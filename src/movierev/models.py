@@ -42,9 +42,11 @@ from .rng import Xoshiro256StarStar, derive_seed
 KIND_LINEAR = "linear"
 KIND_TREE = "tree"
 KIND_BAGGING = "bagging"
-KIND_FOREST = "random_forest"
+KIND_FOREST = "forest"
 KIND_GBM = "gbm"
 KIND_XGB = "xgb"
+
+KINDS = (KIND_LINEAR, KIND_TREE, KIND_BAGGING, KIND_FOREST, KIND_GBM, KIND_XGB)
 
 BOOSTING_KINDS = (KIND_GBM, KIND_XGB)
 
@@ -117,7 +119,7 @@ class TreeConfig:
 
 @dataclass
 class EnsembleModel:
-    kind: str  # bagging | random_forest | gbm | xgb
+    kind: str  # bagging | forest | gbm | xgb
     trees: list
     learning_rate: float | None = None  # boosting only
     init_value: float | None = None  # boosting only
@@ -529,7 +531,7 @@ def fit_ols(X, y) -> LinearModel:
 # uniform fitting surface for tuning and the CLI
 
 
-def _tree_config_from(params, default_depth=None) -> TreeConfig:
+def _tree_config_from(params, default_depth) -> TreeConfig:
     return TreeConfig(
         max_depth=params.get("max_depth", default_depth),
         min_samples_split=params.get("min_samples_split", 2),
@@ -540,37 +542,27 @@ def _tree_config_from(params, default_depth=None) -> TreeConfig:
 
 def fit_model(kind: str, X, y, params: dict | None = None, seed: int = 0):
     """Fit any of the six families from a flat parameter dict."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
     params = dict(params or {})
     unknown = set(params) - PARAM_NAMES
     if unknown:
         raise ValueError(f"unknown parameters: {sorted(unknown)}")
-    kind = KIND_FOREST if kind == "forest" else kind
     if kind == KIND_LINEAR:
         return fit_ols(X, y)
+    config = _tree_config_from(params, DEFAULT_BOOST_DEPTH if kind in BOOSTING_KINDS else None)
     if kind == KIND_TREE:
-        return fit_cart(X, y, _tree_config_from(params), seed)
+        return fit_cart(X, y, config, seed)
+    n_estimators = params.get("n_estimators", DEFAULT_N_ESTIMATORS)
     if kind == KIND_BAGGING:
-        return fit_bagging(
-            X, y, params.get("n_estimators", DEFAULT_N_ESTIMATORS),
-            _tree_config_from(params), seed,
-        )
+        return fit_bagging(X, y, n_estimators, config, seed)
     if kind == KIND_FOREST:
-        return fit_random_forest(
-            X, y, params.get("n_estimators", DEFAULT_N_ESTIMATORS),
-            _tree_config_from(params), seed,
-        )
+        return fit_random_forest(X, y, n_estimators, config, seed)
+    learning_rate = params.get("learning_rate", DEFAULT_LEARNING_RATE)
     if kind == KIND_GBM:
-        return fit_gbm(
-            X, y, params.get("n_estimators", DEFAULT_N_ESTIMATORS),
-            params.get("learning_rate", DEFAULT_LEARNING_RATE),
-            _tree_config_from(params, DEFAULT_BOOST_DEPTH),
-        )
-    if kind == KIND_XGB:
-        return fit_xgb(
-            X, y, params.get("n_estimators", DEFAULT_N_ESTIMATORS),
-            params.get("learning_rate", DEFAULT_LEARNING_RATE),
-            _tree_config_from(params, DEFAULT_BOOST_DEPTH),
-            params.get("reg_lambda", DEFAULT_REG_LAMBDA),
-            params.get("reg_gamma", DEFAULT_REG_GAMMA),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+        return fit_gbm(X, y, n_estimators, learning_rate, config)
+    return fit_xgb(
+        X, y, n_estimators, learning_rate, config,
+        params.get("reg_lambda", DEFAULT_REG_LAMBDA),
+        params.get("reg_gamma", DEFAULT_REG_GAMMA),
+    )

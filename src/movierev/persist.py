@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE, ColumnSpec
+from .dataset import CATEGORICAL, FEATURE, NUMERIC, TARGET, ColumnSpec
 from .errors import ArtifactError, CorruptArtifact, SchemaHashMismatch, VersionMismatch
 from .models import (
     KIND_BAGGING,
     KIND_FOREST,
-    KIND_GBM,
     KIND_LINEAR,
     KIND_TREE,
     KIND_XGB,
+    KINDS,
     EnsembleModel,
     Leaf,
     LinearModel,
@@ -40,13 +40,17 @@ FORMAT_VERSION = 1
 EPOCH_UTC = "1970-01-01T00:00:00Z"
 ARTIFACT_SUFFIX = ".mrp.json"
 
+# the v1 ``model_kind`` of each in-memory kind; only the forest differs
+_V1_KIND = {kind: kind for kind in KINDS} | {KIND_FOREST: "random_forest"}
+_KIND_OF_V1 = {name: kind for kind, name in _V1_KIND.items()}
+
 
 @dataclass(frozen=True)
 class ModelArtifact:
     format_version: int
     created_utc: str
     pipeline: Pipeline
-    model_kind: str  # linear | tree | bagging | random_forest | gbm | xgb
+    model_kind: str  # linear | tree | bagging | forest | gbm | xgb
     model: object
     training_meta: dict  # seed, params, schema_hash
 
@@ -122,17 +126,15 @@ def _encode_model(kind: str, model) -> dict:
             "trees": [_encode_tree(t) for t in model.trees],
             "per_tree_seeds": [int(s) for s in model.per_tree_seeds],
         }
-    if kind in (KIND_GBM, KIND_XGB):
-        payload = {
-            "trees": [_encode_tree(t) for t in model.trees],
-            "learning_rate": float(model.learning_rate),
-            "init_value": float(model.init_value),
-        }
-        if kind == KIND_XGB:
-            payload["reg_lambda"] = float(model.reg_lambda)
-            payload["reg_gamma"] = float(model.reg_gamma)
-        return payload
-    raise ValueError(f"unknown model kind {kind!r}")
+    payload = {
+        "trees": [_encode_tree(t) for t in model.trees],
+        "learning_rate": float(model.learning_rate),
+        "init_value": float(model.init_value),
+    }
+    if kind == KIND_XGB:
+        payload["reg_lambda"] = float(model.reg_lambda)
+        payload["reg_gamma"] = float(model.reg_gamma)
+    return payload
 
 
 def _encode_pipeline(p: Pipeline) -> dict:
@@ -154,12 +156,15 @@ def _encode_pipeline(p: Pipeline) -> dict:
 
 
 def dumps_canonical(artifact: ModelArtifact) -> str:
+    kind = artifact.model_kind
+    if kind not in _V1_KIND:
+        raise ValueError(f"unknown model kind {kind!r}")
     doc = {
         "format_version": int(artifact.format_version),
         "created_utc": artifact.created_utc,
         "pipeline": _encode_pipeline(artifact.pipeline),
-        "model_kind": artifact.model_kind,
-        "model_payload": _encode_model(artifact.model_kind, artifact.model),
+        "model_kind": _V1_KIND[kind],
+        "model_payload": _encode_model(kind, artifact.model),
         "training_meta": _canon_meta(artifact.training_meta),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
@@ -194,19 +199,48 @@ def save(artifact: ModelArtifact, path) -> None:
 # decoding
 
 
+_NUMBER = (int, float)
+
+
 def _expect(mapping, key, kinds, path):
+    """``mapping[key]``, which must exist and have one of the JSON types
+    ``kinds``; ``path`` locates ``mapping`` in the document."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise CorruptArtifact(f"{path}.{key}", "missing")
     value = mapping[key]
-    if kinds is not None and not isinstance(value, kinds):
-        raise CorruptArtifact(f"{path}.{key}", f"expected {kinds}")
-    if isinstance(value, bool) and kinds is not None and bool not in _tupled(kinds):
-        raise CorruptArtifact(f"{path}.{key}", "expected a number, got bool")
+    if isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)):
+        return value  # the check of _typed, inline: this runs for every tree node
+    return _typed(value, kinds, path, key)
+
+
+def _typed(value, kinds, path, key):
+    """``value``, found at ``key`` (a name, or a list index) under
+    ``path``, if it has one of the JSON types ``kinds``. A bool is an
+    ``int`` to Python, so it passes only where ``kinds`` is ``bool``."""
+    if isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)):
+        return value
+    where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+    raise CorruptArtifact(where, f"expected {kinds}")
+
+
+def _expect_list(mapping, key, kinds, path):
+    """The list ``mapping[key]``, each item of the JSON types ``kinds``."""
+    items = _expect(mapping, key, list, path)
+    return [_typed(v, kinds, f"{path}.{key}", i) for i, v in enumerate(items)]
+
+
+def _expect_numbers(mapping, key, path):
+    """The object ``mapping[key]`` of numbers, as floats by name."""
+    items = _expect(mapping, key, dict, path)
+    return {k: float(_typed(v, _NUMBER, f"{path}.{key}", k)) for k, v in items.items()}
+
+
+def _expect_choice(mapping, key, choices, path):
+    """The string ``mapping[key]``, which must be one of ``choices``."""
+    value = _expect(mapping, key, str, path)
+    if value not in choices:
+        raise CorruptArtifact(f"{path}.{key}", f"{value!r} is not one of {', '.join(choices)}")
     return value
-
-
-def _tupled(kinds):
-    return kinds if isinstance(kinds, tuple) else (kinds,)
 
 
 def _decode_tree(doc, path, features):
@@ -216,10 +250,11 @@ def _decode_tree(doc, path, features):
         raise CorruptArtifact(path, "tree node must have exactly one tag")
     if "leaf" in doc:
         body = doc["leaf"]
-        return Leaf(
-            value=float(_expect(body, "v", (int, float), f"{path}.leaf")),
-            n_samples=int(_expect(body, "n", int, f"{path}.leaf")),
-        )
+        value = float(_expect(body, "v", _NUMBER, f"{path}.leaf"))
+        n = _expect(body, "n", int, f"{path}.leaf")
+        if n < 0:
+            raise CorruptArtifact(f"{path}.leaf.n", f"negative row count {n}")
+        return Leaf(value=value, n_samples=n)
     if "split" in doc:
         body = doc["split"]
         feature = _expect(body, "f", int, f"{path}.split")
@@ -229,7 +264,7 @@ def _decode_tree(doc, path, features):
             )
         return Split(
             feature_index=feature,
-            threshold=float(_expect(body, "t", (int, float), f"{path}.split")),
+            threshold=float(_expect(body, "t", _NUMBER, f"{path}.split")),
             left=_decode_tree(
                 _expect(body, "l", dict, f"{path}.split"), f"{path}.split.l", features
             ),
@@ -240,72 +275,72 @@ def _decode_tree(doc, path, features):
     raise CorruptArtifact(path, "unknown tree node tag")
 
 
-_KNOWN_KINDS = (KIND_LINEAR, KIND_TREE, KIND_BAGGING, KIND_FOREST, KIND_GBM, KIND_XGB)
-
-
 def _decode_model(kind, payload, n_features):
     path = "model_payload"
     features = range(n_features)
-    if kind not in _KNOWN_KINDS:
-        raise CorruptArtifact("model_kind", f"unknown kind {kind!r}")
     if kind == KIND_LINEAR:
-        coeffs = _expect(payload, "coefficients", list, path)
+        coeffs = _expect_list(payload, "coefficients", _NUMBER, path)
+        if len(coeffs) != n_features:
+            raise CorruptArtifact(
+                f"{path}.coefficients", f"{len(coeffs)} coefficients for {n_features} features"
+            )
         return LinearModel(
-            coefficients=np.array([float(c) for c in coeffs], dtype=np.float64),
-            intercept=float(_expect(payload, "intercept", (int, float), path)),
-            used_ridge_fallback=bool(payload.get("used_ridge_fallback", False)),
+            coefficients=np.array(coeffs, dtype=np.float64),
+            intercept=float(_expect(payload, "intercept", _NUMBER, path)),
+            used_ridge_fallback=_expect(payload, "used_ridge_fallback", bool, path),
         )
     if kind == KIND_TREE:
         return _decode_tree(_expect(payload, "tree", dict, path), f"{path}.tree", features)
-    trees = [
-        _decode_tree(doc, f"{path}.trees[{i}]", features)
-        for i, doc in enumerate(_expect(payload, "trees", list, path))
-    ]
+    docs = _expect(payload, "trees", list, path)
+    if not docs:
+        raise CorruptArtifact(f"{path}.trees", "an ensemble needs at least one tree")
+    trees = [_decode_tree(doc, f"{path}.trees[{i}]", features) for i, doc in enumerate(docs)]
     if kind in (KIND_BAGGING, KIND_FOREST):
-        seeds = [int(s) for s in _expect(payload, "per_tree_seeds", list, path)]
+        seeds = _expect_list(payload, "per_tree_seeds", int, path)
         return EnsembleModel(kind=kind, trees=trees, per_tree_seeds=seeds)
-    if kind in (KIND_GBM, KIND_XGB):
-        model = EnsembleModel(
-            kind=kind,
-            trees=trees,
-            learning_rate=float(_expect(payload, "learning_rate", (int, float), path)),
-            init_value=float(_expect(payload, "init_value", (int, float), path)),
-        )
-        if kind == KIND_XGB:
-            model.reg_lambda = float(_expect(payload, "reg_lambda", (int, float), path))
-            model.reg_gamma = float(_expect(payload, "reg_gamma", (int, float), path))
-        return model
-    raise CorruptArtifact("model_kind", f"undecodable kind {kind!r}")
+    xgb = kind == KIND_XGB
+    return EnsembleModel(
+        kind=kind,
+        trees=trees,
+        learning_rate=float(_expect(payload, "learning_rate", _NUMBER, path)),
+        init_value=float(_expect(payload, "init_value", _NUMBER, path)),
+        reg_lambda=float(_expect(payload, "reg_lambda", _NUMBER, path)) if xgb else None,
+        reg_gamma=float(_expect(payload, "reg_gamma", _NUMBER, path)) if xgb else None,
+    )
 
 
 def _decode_pipeline(doc):
     path = "pipeline"
-    encoder_doc = _expect(doc, "encoder", dict, path)
-    classes_doc = _expect(encoder_doc, "classes", dict, f"{path}.encoder")
-    encoder = EncoderMap(
-        classes={k: tuple(str(v) for v in vs) for k, vs in classes_doc.items()}
+    schema = tuple(
+        ColumnSpec(
+            name=_expect(c, "name", str, f"{path}.schema[{i}]"),
+            kind=_expect_choice(c, "kind", (NUMERIC, CATEGORICAL), f"{path}.schema[{i}]"),
+            role=_expect_choice(c, "role", (FEATURE, TARGET), f"{path}.schema[{i}]"),
+        )
+        for i, c in enumerate(_expect(doc, "schema", list, path))
     )
+    where = f"{path}.encoder.classes"
+    classes_doc = _expect(_expect(doc, "encoder", dict, path), "classes", dict, f"{path}.encoder")
+    if sorted(classes_doc) != sorted(c.name for c in schema if c.kind == CATEGORICAL):
+        raise CorruptArtifact(where, "columns differ from the schema's categorical columns")
+    classes = {}
+    for name in classes_doc:
+        values = _expect_list(classes_doc, name, str, where)
+        if values != sorted(set(values)):
+            raise CorruptArtifact(f"{where}.{name}", "classes are not sorted and unique")
+        classes[name] = tuple(values)
     scaler_doc = _expect(doc, "scaler", (dict, type(None)), path)
     scaler = None
     if scaler_doc is not None:
         scaler = ScalerParams(
-            means={k: float(v) for k, v in _expect(scaler_doc, "means", dict, f"{path}.scaler").items()},
-            stds={k: float(v) for k, v in _expect(scaler_doc, "stds", dict, f"{path}.scaler").items()},
+            means=_expect_numbers(scaler_doc, "means", f"{path}.scaler"),
+            stds=_expect_numbers(scaler_doc, "stds", f"{path}.scaler"),
         )
-    schema_doc = _expect(doc, "schema", list, path)
-    schema = tuple(
-        ColumnSpec(
-            name=str(_expect(c, "name", str, f"{path}.schema[{i}]")),
-            kind=str(_expect(c, "kind", str, f"{path}.schema[{i}]")),
-            role=str(_expect(c, "role", str, f"{path}.schema[{i}]")),
-        )
-        for i, c in enumerate(schema_doc)
-    )
     features = sorted(c.name for c in schema if c.role == FEATURE)
     if scaler is not None and not sorted(scaler.means) == sorted(scaler.stds) == features:
         raise CorruptArtifact(f"{path}.scaler", "columns differ from the schema's features")
     return Pipeline(
-        encoder=encoder,
+        encoder=EncoderMap(classes=classes),
         scaler=scaler,
         log_budget=bool(_expect(doc, "log_budget", bool, path)),
         log_target=bool(_expect(doc, "log_target", bool, path)),
@@ -331,6 +366,9 @@ def load(path) -> ModelArtifact:
         raise CorruptArtifact("<document>", str(exc)) from None
     except RecursionError:
         raise CorruptArtifact("<document>", "nested too deep to read") from None
+    except OverflowError:
+        # an integer literal too large for a float, where a float is due
+        raise CorruptArtifact("<document>", "a number is out of the float range") from None
 
 
 def _decode_document(doc) -> ModelArtifact:
@@ -343,7 +381,7 @@ def _decode_document(doc) -> ModelArtifact:
         )
     created = _expect(doc, "created_utc", str, "<document>")
     pipeline = _decode_pipeline(_expect(doc, "pipeline", dict, "<document>"))
-    kind = _expect(doc, "model_kind", str, "<document>")
+    kind = _KIND_OF_V1[_expect_choice(doc, "model_kind", _KIND_OF_V1, "<document>")]
     model = _decode_model(
         kind, _expect(doc, "model_payload", dict, "<document>"), len(pipeline.feature_names)
     )

@@ -8,6 +8,7 @@ import pytest
 from movierev import models, persist, preprocess
 from movierev.cli import main
 from movierev.dataset import FEATURE, NUMERIC, DataTable, write_csv
+from movierev.synthetic import synthetic_movies
 
 
 def run(*argv):
@@ -170,6 +171,25 @@ class TestTrain:
         assert "model error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_failed_save_leaves_no_files(self, tmp_path, grid, capsys):
+        """A tree too deep to save exits 5, and writes no report, CV table
+        or curve for the model that has no artifact."""
+        table = synthetic_movies(1500, seed=9)
+        gross = 2.0 ** (np.arange(1500) - 1000)  # each split peels off the top row
+        data = edited_csv(tmp_path, table, gross=gross)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = ["train", "--data", str(data), "--model", "tree", "--no-log-money",
+                "--out", str(out_dir / "deep.mrp.json")]
+        if grid:
+            grid_path = tmp_path / "grid.json"
+            grid_path.write_text(json.dumps({"min_samples_leaf": [1]}))
+            argv += ["--grid", str(grid_path)]
+        assert run(*argv) == 5
+        assert "nested too deep to save" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_raw_space_metrics_flag(self, tmp_path, movies_csv):
         out = tmp_path / "m.mrp.json"
         code = run(
@@ -268,6 +288,36 @@ class TestPredict:
         bad = tmp_path / "bad.mrp.json"
         bad.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity as-is
         assert run("predict", "--artifact", str(bad), "--input", str(req_path)) == 5
+
+    @pytest.mark.parametrize("edit", ["reverse genre", "no trees", "kind forest"])
+    def test_inconsistent_golden_exit_five(self, tmp_path, edit, capsys):
+        """Each edit used to predict, with a wrong number or none at all."""
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(golden_request()))
+        doc = json.loads(GOLDEN.read_text())
+        if edit == "reverse genre":
+            doc["pipeline"]["encoder"]["classes"]["genre"].reverse()
+        elif edit == "no trees":
+            doc["model_payload"]["trees"] = []
+        else:
+            doc["model_kind"] = "forest"
+        bad = tmp_path / "bad.mrp.json"
+        bad.write_text(json.dumps(doc))
+        assert run("predict", "--artifact", str(bad), "--input", str(req_path)) == 5
+        captured = capsys.readouterr()
+        assert "predicted" not in captured.out
+        assert "corrupt artifact" in captured.err
+
+    def test_linear_short_of_a_coefficient_exit_five(self, tmp_path, movies_csv, movies_table):
+        out = tmp_path / "linear.mrp.json"
+        assert run("train", "--data", str(movies_csv), "--model", "linear", "--out", str(out)) == 0
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(request_from_row(movies_table, 0, model="linear")))
+        assert run("predict", "--artifact", str(out), "--input", str(req_path)) == 0
+        doc = json.loads(out.read_text())
+        doc["model_payload"]["coefficients"].pop()
+        out.write_text(json.dumps(doc))
+        assert run("predict", "--artifact", str(out), "--input", str(req_path)) == 5
 
     def test_too_deep_artifact_exit_five(self, tmp_path, capsys):
         """The golden pipeline with a tree of 3 or 700 levels: the deep one
@@ -370,6 +420,24 @@ class TestSelectFeatures:
 
 
 class TestEvaluate:
+    def test_forest_is_called_forest(self, tmp_path, movies_table, movies_csv, capsys):
+        pipeline = preprocess.fit_pipeline(movies_table, scale=False)
+        X, y = preprocess.transform(pipeline, movies_table)
+        model = models.fit_random_forest(X, y, 3, models.TreeConfig(max_depth=3), 1)
+        artifact = tmp_path / "forest.mrp.json"
+        persist.save(persist.make_artifact(pipeline, "forest", model, seed=1), artifact)
+        code = run(
+            "evaluate", "--artifact", str(artifact), "--data", str(movies_csv),
+            "--out", str(tmp_path / "eval"),
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "forest"
+        assert json.loads((tmp_path / "eval.report.json").read_text())["model"] == "forest"
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(request_from_row(movies_table, 0, model="forest")))
+        assert run("predict", "--artifact", str(artifact), "--input", str(req_path)) == 0
+        assert "predicted gross (forest):" in capsys.readouterr().out
+
     def test_evaluate_trained_artifact(self, trained, movies_csv, tmp_path, capsys):
         code = run(
             "evaluate", "--artifact", str(trained), "--data", str(movies_csv),

@@ -553,7 +553,39 @@ class TestFitModelDispatch:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             fit_model("svm", np.zeros((3, 1)), np.zeros(3))
+        # the kind is checked before the parameters
+        with pytest.raises(ValueError, match="unknown model kind 'svm'"):
+            fit_model("svm", np.zeros((3, 1)), np.zeros(3), {"depth": 3})
 
     def test_unknown_param(self):
         with pytest.raises(ValueError):
             fit_model("gbm", np.zeros((3, 1)), np.zeros(3), {"depth": 3})
+
+    def test_forest_has_one_name(self):
+        rs = np.random.RandomState(3)
+        X, y = rs.rand(20, 3), rs.rand(20)
+        assert fit_model("forest", X, y, {"n_estimators": 2}).kind == "forest"
+        # the artifact file's spelling is not a kind of the library
+        with pytest.raises(ValueError, match="unknown model kind 'random_forest'"):
+            fit_model("random_forest", X, y, {"n_estimators": 2})
+
+    def test_settings_match_the_direct_fits(self):
+        """Each family reads the shared settings as its own fit function
+        does, boosting with its default depth of 3."""
+        rs = np.random.RandomState(23)
+        X, y = rs.rand(60, 4), rs.rand(60)
+        params = {"n_estimators": 4, "learning_rate": 0.3, "min_samples_leaf": 2}
+        config = TreeConfig(min_samples_leaf=2)
+        boost = TreeConfig(max_depth=3, min_samples_leaf=2)
+        direct = {
+            "tree": fit_cart(X, y, config, 5),
+            "bagging": fit_bagging(X, y, 4, config, 5),
+            "forest": fit_random_forest(X, y, 4, config, 5),
+            "gbm": fit_gbm(X, y, 4, 0.3, boost),
+            "xgb": fit_xgb(X, y, 4, 0.3, boost, 2.0, 0.01),
+        }
+        for kind, model in direct.items():
+            kind_params = {**params, "reg_lambda": 2.0, "reg_gamma": 0.01} if kind == "xgb" else params
+            assert np.array_equal(
+                predict(fit_model(kind, X, y, kind_params, seed=5), X), predict(model, X)
+            ), kind

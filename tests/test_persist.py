@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ class TestRoundTrip:
             "linear": models.fit_ols(X, y),
             "tree": models.fit_cart(X, y, models.TreeConfig(max_depth=4), 1),
             "bagging": models.fit_bagging(X, y, 3, models.TreeConfig(max_depth=3), 1),
-            "random_forest": models.fit_random_forest(X, y, 3, models.TreeConfig(max_depth=3), 1),
+            "forest": models.fit_random_forest(X, y, 3, models.TreeConfig(max_depth=3), 1),
             "gbm": models.fit_gbm(X, y, 3, 0.5, models.TreeConfig(max_depth=2)),
             "xgb": models.fit_xgb(X, y, 3, 0.5, models.TreeConfig(max_depth=2), 1.0, 0.1),
         }
@@ -170,6 +171,16 @@ class TestErrors:
             with pytest.raises(CorruptArtifact):
                 load(path)
 
+    def test_integer_beyond_float_range_rejected(self, fitted, tmp_path):
+        artifact, _ = fitted
+        path = tmp_path / "model.mrp.json"
+        save(artifact, path)
+        doc = json.loads(path.read_text())
+        doc["model_payload"]["init_value"] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptArtifact):
+            load(path)
+
     def test_too_deep_tree_is_not_saved(self, fitted, tmp_path):
         pipeline = fitted[0].pipeline
         shallow = tmp_path / "shallow.mrp.json"
@@ -207,6 +218,156 @@ class TestErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptArtifact):
             load(path)
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden.mrp.json"
+
+
+@pytest.fixture()
+def saved_docs(movies_table, tmp_path):
+    """JSON documents of a scaled linear artifact and a 3-tree forest."""
+    pipeline = preprocess.fit_pipeline(movies_table, scale=True)
+    X, y = preprocess.transform(pipeline, movies_table)
+    forest = models.fit_random_forest(X, y, 3, models.TreeConfig(max_depth=3), 1)
+    docs = {}
+    for kind, model in (("linear", models.fit_ols(X, y)), ("forest", forest)):
+        path = tmp_path / f"{kind}.mrp.json"
+        save(make_artifact(pipeline, kind, model, seed=1), path)
+        docs[kind] = json.loads(path.read_text())
+    return docs
+
+
+def rejected_at(tmp_path, doc) -> str:
+    """The field path of the ``CorruptArtifact`` that loading ``doc`` raises."""
+    path = tmp_path / "edited.mrp.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptArtifact) as err:
+        load(path)
+    return err.value.field_path
+
+
+class TestKindNames:
+    def test_forest_is_random_forest_only_in_the_file(self, saved_docs, tmp_path):
+        path = tmp_path / "forest.mrp.json"
+        path.write_text(json.dumps(saved_docs["forest"]))
+        assert saved_docs["forest"]["model_kind"] == "random_forest"
+        loaded = load(path)
+        assert loaded.model_kind == "forest"
+        assert loaded.model.kind == "forest"
+        again = tmp_path / "again.mrp.json"
+        save(loaded, again)
+        assert b'"model_kind":"random_forest"' in again.read_bytes()
+
+    def test_file_saying_forest_is_corrupt(self, saved_docs, tmp_path):
+        """v1 never wrote ``forest``, so a file that does is damaged."""
+        doc = saved_docs["forest"]
+        doc["model_kind"] = "forest"
+        assert rejected_at(tmp_path, doc) == "<document>.model_kind"
+
+    def test_save_unknown_kind_raises_value_error(self, fitted, tmp_path):
+        artifact, _ = fitted
+        path = tmp_path / "model.mrp.json"
+        for kind in ("perceptron", "random_forest"):
+            with pytest.raises(ValueError, match="unknown model kind"):
+                save(make_artifact(artifact.pipeline, kind, artifact.model, seed=0), path)
+        assert not path.exists()
+
+
+class TestReaderChecks:
+    """Each item of a list or object has its documented type, and the
+    parts of an artifact agree with each other."""
+
+    @pytest.mark.parametrize("bad", [None, "x", {}, True])
+    def test_mistyped_class_list(self, bad, tmp_path):
+        doc = json.loads(GOLDEN.read_text())
+        doc["pipeline"]["encoder"]["classes"]["genre"] = bad
+        assert rejected_at(tmp_path, doc) == "pipeline.encoder.classes.genre"
+
+    @pytest.mark.parametrize("bad", [None, 3, ["Action"]])
+    def test_mistyped_class(self, bad, tmp_path):
+        doc = json.loads(GOLDEN.read_text())
+        doc["pipeline"]["encoder"]["classes"]["genre"][2] = bad
+        assert rejected_at(tmp_path, doc) == "pipeline.encoder.classes.genre[2]"
+
+    @pytest.mark.parametrize("bad", [None, "x", True, [1.0]])
+    def test_mistyped_numbers(self, saved_docs, bad, tmp_path):
+        edits = [
+            ("linear", ("pipeline", "scaler", "means"), "budget", "pipeline.scaler.means.budget"),
+            ("linear", ("pipeline", "scaler", "stds"), "year", "pipeline.scaler.stds.year"),
+            ("linear", ("model_payload", "coefficients"), 2, "model_payload.coefficients[2]"),
+            ("forest", ("model_payload", "per_tree_seeds"), 0, "model_payload.per_tree_seeds[0]"),
+        ]
+        for kind, keys, item, where in edits:
+            doc = json.loads(json.dumps(saved_docs[kind]))
+            container = doc
+            for key in keys:
+                container = container[key]
+            container[item] = bad
+            assert rejected_at(tmp_path, doc) == where, where
+
+    def test_mistyped_ridge_flag(self, saved_docs, tmp_path):
+        doc = saved_docs["linear"]
+        doc["model_payload"]["used_ridge_fallback"] = "x"
+        assert rejected_at(tmp_path, doc) == "model_payload.used_ridge_fallback"
+
+    @pytest.mark.parametrize("field", ["kind", "role"])
+    def test_unknown_column_kind_or_role(self, field, tmp_path):
+        doc = json.loads(GOLDEN.read_text())
+        doc["pipeline"]["schema"][3][field] = "x"
+        assert rejected_at(tmp_path, doc) == f"pipeline.schema[3].{field}"
+
+    @pytest.mark.parametrize("edit", ["reverse", "duplicate"])
+    def test_class_list_sorted_and_unique(self, edit, tmp_path):
+        doc = json.loads(GOLDEN.read_text())
+        genres = doc["pipeline"]["encoder"]["classes"]["genre"]
+        if edit == "reverse":
+            genres.reverse()
+        else:
+            genres.insert(1, genres[0])
+        assert rejected_at(tmp_path, doc) == "pipeline.encoder.classes.genre"
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "numeric", "empty"])
+    def test_encoder_columns_are_the_categorical_columns(self, edit, tmp_path):
+        doc = json.loads(GOLDEN.read_text())
+        classes = doc["pipeline"]["encoder"]["classes"]
+        if edit == "missing":
+            del classes["genre"]
+        elif edit == "extra":
+            classes["colour"] = ["red"]
+        elif edit == "numeric":
+            classes["budget"] = []
+        else:
+            classes.clear()
+        assert rejected_at(tmp_path, doc) == "pipeline.encoder.classes"
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_one_coefficient_per_feature(self, saved_docs, delta, tmp_path):
+        doc = saved_docs["linear"]
+        coefficients = doc["model_payload"]["coefficients"]
+        if delta < 0:
+            coefficients.pop()
+        else:
+            coefficients.append(0.5)
+        assert rejected_at(tmp_path, doc) == "model_payload.coefficients"
+
+    @pytest.mark.parametrize("source", ["forest", "golden"])
+    def test_ensemble_needs_a_tree(self, saved_docs, source, tmp_path):
+        doc = json.loads(GOLDEN.read_text()) if source == "golden" else saved_docs[source]
+        doc["model_payload"]["trees"] = []
+        assert rejected_at(tmp_path, doc) == "model_payload.trees"
+
+    def test_negative_leaf_count(self, saved_docs, tmp_path):
+        doc = saved_docs["forest"]
+        node = doc["model_payload"]["trees"][1]
+        where = "model_payload.trees[1]"
+        while "split" in node:
+            node, where = node["split"]["r"], where + ".split.r"
+        node["leaf"]["n"] = -1
+        assert rejected_at(tmp_path, doc) == where + ".leaf.n"
+        node["leaf"]["n"] = 0  # an empty leaf is legal
+        path = tmp_path / "zero.mrp.json"
+        path.write_text(json.dumps(doc))
+        assert load(path).model_kind == "forest"
 
 
 class TestHashing:
