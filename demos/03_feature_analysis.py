@@ -15,7 +15,7 @@ from movierev.analysis import (
     summarize,
     threshold_scores,
 )
-from movierev.preprocess import encode_table, fit_encoders
+from movierev.preprocess import fit_pipeline, transform
 from movierev.synthetic import synthetic_movies
 
 table = synthetic_movies(600, seed=12)
@@ -32,11 +32,11 @@ for name in ("budget", "votes", "score", "runtime", "year"):
     r = pearson_r(np.asarray(table.column(name)), gross)
     print(f"  {name:8s} r = {r:+.3f}")
 
-# encode categoricals so every column can be scored uniformly
-encoded, _ = encode_table(table, fit_encoders(table))
-names = [c.name for c in table.schema if c.role == "feature"]
-matrix = np.column_stack([np.asarray(encoded.column(n)) for n in names])
-scores = select_k_best(matrix, names, gross, k=5)
+# label-encode categoricals (no log, no scaling) so every column can be
+# scored uniformly
+pipeline = fit_pipeline(table, scale=False, log_money=False)
+matrix, _ = transform(pipeline, table)
+scores = select_k_best(matrix, pipeline.feature_names, gross, k=5)
 
 print("\nF-score ranking (top 5 selected):")
 for i, (name, score) in enumerate(scores.entries):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import preprocess
 from .dataset import CATEGORICAL, FEATURE, NUMERIC, DataTable
 from .errors import BadBins, ZeroVariance
 
@@ -129,22 +130,21 @@ def expand_categorical(table: DataTable) -> tuple[np.ndarray, list[str]]:
 
     Analysis-only view for per-category scoring; never fed to models.
     """
-    blocks = []
-    names: list[str] = []
+    encoder = preprocess.fit_encoders(table)
+    encoded, _ = preprocess.encode_table(table, encoder)
+    blocks, names = [], []
     for c in table.schema:
         if c.role != FEATURE:
             continue
-        col = table.column(c.name)
+        col = encoded.column(c.name)[:, None]
         if c.kind == CATEGORICAL:
-            for category in sorted(set(col)):
-                names.append(f"{c.name}={category}")
-                blocks.append(
-                    np.array([1.0 if v == category else 0.0 for v in col])
-                )
+            classes = encoder.classes[c.name]
+            names += [f"{c.name}={category}" for category in classes]
+            blocks.append(col == np.arange(len(classes)))
         else:
             names.append(c.name)
-            blocks.append(np.asarray(col, dtype=np.float64))
-    return np.column_stack(blocks), names
+            blocks.append(col)
+    return np.hstack(blocks, dtype=np.float64), names
 
 
 def category_counts(table: DataTable, column: str) -> list[tuple[str, int]]:

@@ -152,10 +152,10 @@ def _parse_request_value(field: str, raw, numeric: bool):
             value = (
                 float(raw) if isinstance(raw, (int, float)) else parse_numeric_cell(str(raw))
             )
-        except ValueError:
+        except (ValueError, OverflowError):
             raise InvalidField(field, f"cannot parse {raw!r} as a number") from None
-        if np.isnan(value):
-            raise InvalidField(field, "missing")
+        if not np.isfinite(value):
+            raise InvalidField(field, "missing" if np.isnan(value) else "not a finite number")
         return value
     text = str(raw).strip()
     if not text:
@@ -283,13 +283,13 @@ def _write_lines(path, lines) -> None:
 
 def cmd_select_features(args) -> int:
     clean = drop_incomplete_rows(load_table(args.data))
-    y = np.asarray(clean.column("gross"), dtype=np.float64)
     if args.expand:
         matrix, names = analysis.expand_categorical(clean)
+        y = clean.column("gross")
     else:
-        encoded, _ = preprocess.encode_table(clean, preprocess.fit_encoders(clean))
-        names = [c.name for c in clean.schema if c.role == FEATURE]
-        matrix = np.column_stack([np.asarray(encoded.column(n)) for n in names])
+        pipeline = preprocess.fit_pipeline(clean, scale=False, log_money=False)
+        matrix, y = preprocess.transform(pipeline, clean)
+        names = pipeline.feature_names
     k = args.k if args.k is not None else len(names)
     table = analysis.select_k_best(matrix, names, y, min(k, len(names)))
 

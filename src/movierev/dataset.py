@@ -173,7 +173,7 @@ def parse_numeric_cell(cell: str) -> float:
 
     Strips whitespace, one layer of surrounding quotes, and
     thousands-separator commas. Raises ValueError when the remainder is
-    not a decimal number.
+    not a finite decimal number (``inf``, ``1e400``).
     """
     s = cell.strip()
     if s.lower() in _MISSING_MARKERS:
@@ -183,7 +183,10 @@ def parse_numeric_cell(cell: str) -> float:
     s = s.replace(",", "")
     if s.lower() in _MISSING_MARKERS:
         return math.nan
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
 
 
 def _clean_categorical_cell(cell: str) -> str | None:

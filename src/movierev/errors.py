@@ -98,7 +98,9 @@ class DimensionMismatch(ModelError):
 
 class NonFiniteSplit(ModelError):
     """Split scores overflowed to infinity or became NaN, so the best
-    split cannot be told; the targets are too large or not finite."""
+    split cannot be told; the targets are too large or not finite. Also
+    raised before growth when a feature value is so large that a split
+    midpoint would overflow."""
 
 
 class BadK(ModelError):

@@ -171,6 +171,21 @@ def _best_split(X, g, srows, feats, total, min_leaf, lam):
     return float(best), int(feats[j]), float(thresholds[j, b])
 
 
+# midpoints of values up to this magnitude cannot overflow: the sum of
+# two of them stays below 2**1023
+MAX_FEATURE_MAGNITUDE = 2.0**1022
+
+
+def _presort(X):
+    """The stable per-column order of ``X``, after checking that every
+    midpoint between its values is finite."""
+    if X.size and float(np.abs(X).max()) > MAX_FEATURE_MAGNITUDE:
+        raise NonFiniteSplit(
+            "a feature value exceeds 2**1022 in magnitude; rescale the features"
+        )
+    return np.argsort(X, axis=0, kind="stable")
+
+
 def _grow_tree(X, g, config, lam, gamma, require_gain, rng, train_pred=None, presort=None):
     """Depth-first greedy growth on gradient sums.
 
@@ -191,7 +206,7 @@ def _grow_tree(X, g, config, lam, gamma, require_gain, rng, train_pred=None, pre
     """
     n_total, p = X.shape
     if presort is None:
-        presort = np.argsort(X, axis=0, kind="stable")
+        presort = _presort(X)
     all_feats = np.arange(p, dtype=np.intp)
     in_left = np.zeros(n_total, dtype=bool)  # scratch mask, cleared after each split
     root = None
@@ -267,6 +282,8 @@ def _tree_predict_matrix(tree, X):
     stack = [(tree, np.arange(X.shape[0], dtype=np.intp))]
     while stack:
         node, idx = stack.pop()
+        if not idx.size:
+            continue  # no row reaches this subtree
         if isinstance(node, Leaf):
             out[idx] = node.value
         else:
@@ -363,7 +380,7 @@ def _fit_boosting(kind, X, y, n_estimators, learning_rate, config, lam, gamma):
     F = np.full(X.shape[0], init, dtype=np.float64)
     trees = []
     require_gain = kind == KIND_XGB
-    presort = np.argsort(X, axis=0, kind="stable")  # X is fixed across stages
+    presort = _presort(X)  # X is fixed across stages
     for _ in range(n_estimators):
         g = F - y
         pred = np.empty(X.shape[0], dtype=np.float64)

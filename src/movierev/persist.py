@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,8 +220,32 @@ def _typed(value, kinds, path, key):
     ``int`` to Python, so it passes only where ``kinds`` is ``bool``."""
     if isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)):
         return value
-    where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
-    raise CorruptArtifact(where, f"expected {kinds}")
+    raise CorruptArtifact(_where(path, key), f"expected {kinds}")
+
+
+def _where(path, key):
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+
+def _finite(number, path, key):
+    """The JSON number ``number``, found at ``key`` under ``path``, as a
+    finite float. ``json`` reads a literal beyond the double range, such
+    as ``1e400``, as infinity, and ``float`` refuses such an integer."""
+    try:
+        value = float(number)
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    raise CorruptArtifact(_where(path, key), "number beyond the double range")
+
+
+def _expect_float(mapping, key, path):
+    """``mapping[key]``, which must be a JSON number, as a finite float."""
+    value = _expect(mapping, key, _NUMBER, path)
+    if value.__class__ is float and math.isfinite(value):
+        return value  # the common case, without a call: this runs for every tree node
+    return _finite(value, path, key)
 
 
 def _expect_list(mapping, key, kinds, path):
@@ -230,9 +255,10 @@ def _expect_list(mapping, key, kinds, path):
 
 
 def _expect_numbers(mapping, key, path):
-    """The object ``mapping[key]`` of numbers, as floats by name."""
+    """The object ``mapping[key]`` of numbers, as finite floats by name."""
+    where = f"{path}.{key}"
     items = _expect(mapping, key, dict, path)
-    return {k: float(_typed(v, _NUMBER, f"{path}.{key}", k)) for k, v in items.items()}
+    return {k: _finite(_typed(v, _NUMBER, where, k), where, k) for k, v in items.items()}
 
 
 def _expect_choice(mapping, key, choices, path):
@@ -250,7 +276,7 @@ def _decode_tree(doc, path, features):
         raise CorruptArtifact(path, "tree node must have exactly one tag")
     if "leaf" in doc:
         body = doc["leaf"]
-        value = float(_expect(body, "v", _NUMBER, f"{path}.leaf"))
+        value = _expect_float(body, "v", f"{path}.leaf")
         n = _expect(body, "n", int, f"{path}.leaf")
         if n < 0:
             raise CorruptArtifact(f"{path}.leaf.n", f"negative row count {n}")
@@ -264,7 +290,7 @@ def _decode_tree(doc, path, features):
             )
         return Split(
             feature_index=feature,
-            threshold=float(_expect(body, "t", _NUMBER, f"{path}.split")),
+            threshold=_expect_float(body, "t", f"{path}.split"),
             left=_decode_tree(
                 _expect(body, "l", dict, f"{path}.split"), f"{path}.split.l", features
             ),
@@ -279,14 +305,16 @@ def _decode_model(kind, payload, n_features):
     path = "model_payload"
     features = range(n_features)
     if kind == KIND_LINEAR:
-        coeffs = _expect_list(payload, "coefficients", _NUMBER, path)
+        where = f"{path}.coefficients"
+        coeffs = [
+            _finite(c, where, i)
+            for i, c in enumerate(_expect_list(payload, "coefficients", _NUMBER, path))
+        ]
         if len(coeffs) != n_features:
-            raise CorruptArtifact(
-                f"{path}.coefficients", f"{len(coeffs)} coefficients for {n_features} features"
-            )
+            raise CorruptArtifact(where, f"{len(coeffs)} coefficients for {n_features} features")
         return LinearModel(
             coefficients=np.array(coeffs, dtype=np.float64),
-            intercept=float(_expect(payload, "intercept", _NUMBER, path)),
+            intercept=_expect_float(payload, "intercept", path),
             used_ridge_fallback=_expect(payload, "used_ridge_fallback", bool, path),
         )
     if kind == KIND_TREE:
@@ -302,10 +330,10 @@ def _decode_model(kind, payload, n_features):
     return EnsembleModel(
         kind=kind,
         trees=trees,
-        learning_rate=float(_expect(payload, "learning_rate", _NUMBER, path)),
-        init_value=float(_expect(payload, "init_value", _NUMBER, path)),
-        reg_lambda=float(_expect(payload, "reg_lambda", _NUMBER, path)) if xgb else None,
-        reg_gamma=float(_expect(payload, "reg_gamma", _NUMBER, path)) if xgb else None,
+        learning_rate=_expect_float(payload, "learning_rate", path),
+        init_value=_expect_float(payload, "init_value", path),
+        reg_lambda=_expect_float(payload, "reg_lambda", path) if xgb else None,
+        reg_gamma=_expect_float(payload, "reg_gamma", path) if xgb else None,
     )
 
 
@@ -326,7 +354,7 @@ def _decode_pipeline(doc):
     classes = {}
     for name in classes_doc:
         values = _expect_list(classes_doc, name, str, where)
-        if values != sorted(set(values)):
+        if any(a >= b for a, b in zip(values, values[1:])):
             raise CorruptArtifact(f"{where}.{name}", "classes are not sorted and unique")
         classes[name] = tuple(values)
     scaler_doc = _expect(doc, "scaler", (dict, type(None)), path)
@@ -366,9 +394,6 @@ def load(path) -> ModelArtifact:
         raise CorruptArtifact("<document>", str(exc)) from None
     except RecursionError:
         raise CorruptArtifact("<document>", "nested too deep to read") from None
-    except OverflowError:
-        # an integer literal too large for a float, where a float is due
-        raise CorruptArtifact("<document>", "a number is out of the float range") from None
 
 
 def _decode_document(doc) -> ModelArtifact:

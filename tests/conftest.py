@@ -1,8 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from movierev.dataset import MOVIE_SCHEMA, DataTable, write_csv
 from movierev.synthetic import synthetic_movies
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +47,17 @@ def tiny_table(rows: dict, kinds: dict | None = None, target: str = "y") -> Data
         for i, (name, values) in enumerate(rows.items())
     }
     return DataTable(tuple(schema), cols)
+
+
+def run_python(args, timeout: float, tmp_dir=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a child interpreter that imports this checkout's
+    ``movierev``, killed after ``timeout`` seconds (``TimeoutExpired``).
+    ``tmp_dir``, when given, is the child's temporary directory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if tmp_dir is not None:
+        env["TMPDIR"] = str(tmp_dir)
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=timeout,
+    )

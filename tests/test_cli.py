@@ -9,6 +9,7 @@ from movierev import models, persist, preprocess
 from movierev.cli import main
 from movierev.dataset import FEATURE, NUMERIC, DataTable, write_csv
 from movierev.synthetic import synthetic_movies
+from tests.conftest import run_python
 
 
 def run(*argv):
@@ -171,6 +172,38 @@ class TestTrain:
         assert "model error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["linear", "gbm", "forest"])
+    def test_infinite_cell_exit_three(self, tmp_path, movies_table, model, capsys):
+        budget = np.where(np.arange(movies_table.row_count) == 5, np.inf, 5e6)
+        data = edited_csv(tmp_path, movies_table, budget=budget)
+        out = tmp_path / "m.mrp.json"
+        assert run("train", "--data", str(data), "--model", model, "--out", str(out)) == 3
+        out_text, err = capsys.readouterr()
+        assert "cannot parse numeric cell 'inf' (row 5, column 'budget')" in err
+        assert out_text == "" and list(tmp_path.iterdir()) == [data]
+
+    @pytest.mark.parametrize(
+        "column, model, flags",
+        [("budget", "tree", ["--no-log-money"]), ("budget", "gbm", ["--no-log-money"]),
+         ("votes", "gbm", [])],
+    )
+    def test_huge_neighbouring_features_exit_four(self, tmp_path, column, model, flags):
+        """Midpoints of 1e308 and 1.6e308 overflow; the tree run never
+        ended, gbm ended in a traceback. ``votes`` is never logged."""
+        table = synthetic_movies(300, seed=3)
+        cells = np.where(np.arange(300) % 2 == 0, 1e308, 1.6e308)
+        data = edited_csv(tmp_path, table, **{column: cells})
+        out = tmp_path / "m.mrp.json"
+        proc = run_python(
+            ["-m", "movierev.cli", "train", "--data", str(data), "--model", model,
+             "--out", str(out), *flags],
+            timeout=30,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("model error:") and "rescale the features" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", [False, True])
     def test_failed_save_leaves_no_files(self, tmp_path, grid, capsys):
         """A tree too deep to save exits 5, and writes no report, CV table
@@ -253,6 +286,24 @@ class TestPredict:
         req_path.write_text(json.dumps(req))
         assert run("predict", "--artifact", str(trained), "--input", str(req_path)) == 3
 
+    @pytest.mark.parametrize(
+        "literal", ["Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["Infinity", "-Infinity", "1e400", "int-1e400"],
+    )
+    def test_non_finite_numeric_field_exit_three(
+        self, trained, tmp_path, movies_table, literal, capsys
+    ):
+        req_path = tmp_path / "req.json"
+        req_path.write_text(
+            json.dumps(request_from_row(movies_table, row=0) | {"budget": "@"}).replace(
+                '"@"', literal
+            )
+        )
+        assert run("predict", "--artifact", str(trained), "--input", str(req_path)) == 3
+        out, err = capsys.readouterr()
+        assert "invalid field 'budget'" in err
+        assert "predicted" not in out
+
     def test_corrupt_artifact_exit_five(self, tmp_path):
         bad = tmp_path / "bad.mrp.json"
         bad.write_text("{not json")
@@ -288,6 +339,26 @@ class TestPredict:
         bad = tmp_path / "bad.mrp.json"
         bad.write_text(json.dumps(doc))  # json.dumps writes NaN and Infinity as-is
         assert run("predict", "--artifact", str(bad), "--input", str(req_path)) == 5
+
+    @pytest.mark.parametrize("field", ["leaf", "init_value"])
+    def test_golden_number_beyond_double_range_exit_five(self, tmp_path, field, capsys):
+        """``json`` reads ``1e400`` as infinity; it used to predict "inf"."""
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(golden_request()))
+        doc = json.loads(GOLDEN.read_text())
+        if field == "leaf":
+            node, where = doc["model_payload"]["trees"][0], "model_payload.trees[0]"
+            while "split" in node:
+                node, where = node["split"]["l"], where + ".split.l"
+            node["leaf"]["v"], where = "@", where + ".leaf.v"
+        else:
+            doc["model_payload"]["init_value"], where = "@", "model_payload.init_value"
+        bad = tmp_path / "bad.mrp.json"
+        bad.write_text(json.dumps(doc).replace('"@"', "1e400"))
+        assert run("predict", "--artifact", str(bad), "--input", str(req_path)) == 5
+        out, err = capsys.readouterr()
+        assert f"corrupt artifact at '{where}': number beyond the double range" in err
+        assert "predicted" not in out
 
     @pytest.mark.parametrize("edit", ["reverse genre", "no trees", "kind forest"])
     def test_inconsistent_golden_exit_five(self, tmp_path, edit, capsys):
@@ -407,6 +478,20 @@ class TestSelectFeatures:
         assert run("select-features", "--data", str(movies_csv), "--out", str(out)) == 0
         scores = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize(
+        "command", ["select-features", "select-features --expand", "summarize"]
+    )
+    def test_infinite_cell_exit_three(self, tmp_path, movies_table, command, capsys):
+        """These used to write ``budget,inf`` and inf/nan statistics."""
+        budget = np.where(np.arange(movies_table.row_count) == 5, np.inf, 5e6)
+        data = edited_csv(tmp_path, movies_table, budget=budget)
+        out = tmp_path / "out"
+        argv = command.split() + ["--data", str(data)]
+        argv += ["--out-dir", str(out)] if command == "summarize" else ["--out", str(out)]
+        assert run(*argv) == 3
+        assert "cannot parse numeric cell 'inf'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_expanded_view(self, tmp_path, movies_csv):
         out = tmp_path / "expanded.csv"

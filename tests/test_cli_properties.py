@@ -1,0 +1,89 @@
+"""Property test of the CSV reader and the commands that read CSVs.
+
+A small synthetic CSV with one cell replaced by odd text (empty, a
+missing marker, non-finite or huge numbers, a stray quote, a NUL byte)
+must be trained on, evaluated, summarized and scored, or refused with a
+documented exit code: ``cli.main`` returns 0, 2, 3, 4 or 5 and never
+raises. A non-finite number in a numeric cell is a data error (exit 3)
+for every command.
+"""
+
+import contextlib
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from movierev.cli import main
+from movierev.dataset import MOVIE_SCHEMA, NUMERIC, write_csv
+from movierev.synthetic import synthetic_movies
+
+ROWS = 30
+CELLS = (
+    "", "NA", "inf", "-Infinity", "1e400", "1e308", "-1", "0", "x", '"1,000"', '"', "a\x00",
+)
+PLACEHOLDER = "@cell@"
+EXIT_CODES = (0, 2, 3, 4, 5)
+NON_FINITE = ("inf", "-Infinity", "1e400")
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with np.errstate(all="ignore"):
+            return main(argv)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory with the clean CSV's rows and a gbm artifact trained on it."""
+    path = tmp_path_factory.mktemp("csvprop")
+    write_csv(synthetic_movies(ROWS, seed=4), path / "clean.csv")
+    artifact = path / "gbm.mrp.json"
+    assert run_quietly(
+        ["train", "--data", str(path / "clean.csv"), "--model", "gbm", "--out", str(artifact)]
+    ) == 0
+    return path
+
+
+def with_cell(clean_csv, row: int, column: int, text: str) -> str:
+    """The CSV text with the cell at (row, column) replaced by the raw
+    ``text``; row 0 is the header."""
+    with open(clean_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[row][column] = PLACEHOLDER
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue().replace(PLACEHOLDER, text)
+
+
+def test_one_odd_cell_exits_with_a_documented_code(workdir):
+    data = workdir / "data.csv"
+    out = workdir / "out"
+    commands = [
+        ["train", "--data", str(data), "--model", kind, "--out", str(out / f"{kind}.mrp.json")]
+        for kind in ("tree", "gbm", "linear")
+    ] + [
+        ["evaluate", "--artifact", str(workdir / "gbm.mrp.json"), "--data", str(data)],
+        ["summarize", "--data", str(data), "--out-dir", str(out)],
+        ["select-features", "--data", str(data), "--out", str(out / "f.csv")],
+        ["select-features", "--data", str(data), "--expand", "--out", str(out / "fx.csv")],
+    ]
+    out.mkdir()
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        row=st.integers(0, ROWS),
+        column=st.integers(0, len(MOVIE_SCHEMA) - 1),
+        text=st.sampled_from(CELLS),
+    )
+    def check(row, column, text):
+        data.write_text(with_cell(workdir / "clean.csv", row, column, text), encoding="utf-8")
+        data_error = row > 0 and MOVIE_SCHEMA[column].kind == NUMERIC and text in NON_FINITE
+        for argv in commands:
+            code = run_quietly(argv)
+            assert (code == 3) if data_error else (code in EXIT_CODES), argv
+
+    check()

@@ -76,6 +76,13 @@ class TestLoadTable:
         assert err.value.row == 1
         assert err.value.column == "votes"
 
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e400", '"-1e999"'])
+    def test_non_finite_numeric_raises_with_location(self, tmp_path, cell):
+        path = _write(tmp_path, f"city,votes,gross\na,1,2\nb,{cell},3\n")
+        with pytest.raises(ParseError) as err:
+            load_table(path, SMALL_SCHEMA)
+        assert (err.value.row, err.value.column) == (1, "votes")
+
     def test_round_trip_through_write_csv(self, tmp_path, movies_table):
         path = tmp_path / "out.csv"
         write_csv(movies_table, path)
@@ -88,6 +95,12 @@ class TestLoadTable:
 )
 def test_parse_numeric_cell(cell, expected):
     assert parse_numeric_cell(cell) == expected
+
+
+@pytest.mark.parametrize("cell", ["inf", "-Infinity", "+INF", "1e400", "-1e400", "-nan"])
+def test_parse_numeric_cell_rejects_non_finite(cell):
+    with pytest.raises(ValueError):
+        parse_numeric_cell(cell)
 
 
 def test_parse_numeric_cell_missing_markers():

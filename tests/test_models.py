@@ -24,6 +24,7 @@ from movierev.models import (
     staged_train_r2,
 )
 from movierev.models import _grow_tree  # engine-level check of the leaf formula
+from tests.conftest import run_python
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +181,33 @@ class TestCart:
             fit_cart(X, y, TreeConfig(max_depth=1))
         assert isinstance(err.value, ModelError)
 
+    def test_huge_neighbours_refused_within_seconds(self):
+        # the midpoint of 1e308 and 1.5e308 overflows to inf, which sent
+        # every row left, and the grower never returned
+        code = (
+            "import numpy as np; from movierev.models import fit_cart; "
+            "fit_cart(np.array([[1e308], [1.5e308], [1.6e308]]), [0.0, 1.0, 1.0])"
+        )
+        proc = run_python(["-c", code], timeout=30)
+        assert proc.returncode == 1
+        assert "NonFiniteSplit" in proc.stderr and "rescale the features" in proc.stderr
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, y: fit_cart(X, y, TreeConfig(max_depth=3)),
+        lambda X, y: fit_gbm(X, y, n_estimators=2),
+        lambda X, y: fit_random_forest(X, y, n_estimators=2, tree_config=TreeConfig(max_depth=3)),
+    ], ids=["cart", "gbm", "forest"])
+    def test_feature_beyond_two_to_the_1022_raises(self, fit):
+        X = np.array([[1.0, 1e308], [2.0, 1.5e308], [3.0, -1.6e308]])
+        with pytest.raises(NonFiniteSplit, match="rescale the features") as err:
+            fit(X, np.array([0.0, 1.0, 1.0]))
+        assert isinstance(err.value, ModelError)
+
+    def test_feature_bound_is_inclusive(self):
+        big = 2.0**1022
+        tree = fit_cart(np.array([[-big], [big], [big]]), [0.0, 1.0, 1.0])
+        assert (tree.threshold, tree.left.value, tree.right.value) == (0.0, 0.0, 1.0)
+
     def test_nan_target_raises(self):
         X = np.arange(6.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0])
@@ -280,6 +308,14 @@ class TestPredict:
         rows = [predict_tree(tree, x) for x in Xq]
         assert all(type(v) is float for v in rows)
         assert rows == predict(tree, Xq).tolist()
+
+    def test_unreached_subtree_is_not_walked(self):
+        # the right subtree splits on column 5, which a one-column matrix
+        # lacks; only a row that reaches that split is an error
+        tree = Split(0, 1.5, Leaf(0.0, 1), Split(5, 0.0, Leaf(1.0, 1), Leaf(2.0, 1)))
+        assert predict(tree, [[1.0], [0.0]]).tolist() == [0.0, 0.0]
+        with pytest.raises(DimensionMismatch):
+            predict(tree, [[1.0], [2.0]])
 
     def test_bagging_mean_of_equal_trees(self):
         model = EnsembleModel(

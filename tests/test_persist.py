@@ -305,6 +305,35 @@ class TestReaderChecks:
             container[item] = bad
             assert rejected_at(tmp_path, doc) == where, where
 
+    @pytest.mark.parametrize(
+        "literal", ["1e400", "-1e400", "1" + "0" * 400], ids=["1e400", "-1e400", "int-1e400"]
+    )
+    def test_numbers_beyond_double_range(self, saved_docs, fitted, literal, tmp_path):
+        """``json`` reads ``1e400`` as infinity, which passed as a float."""
+        gbm = json.loads(dumps_canonical(fitted[0]))
+        edits = [
+            ("linear", ("pipeline", "scaler", "means"), "budget", "pipeline.scaler.means.budget"),
+            ("linear", ("pipeline", "scaler", "stds"), "year", "pipeline.scaler.stds.year"),
+            ("linear", ("model_payload", "coefficients"), 2, "model_payload.coefficients[2]"),
+            ("linear", ("model_payload",), "intercept", "model_payload.intercept"),
+            ("forest", ("model_payload", "trees", 0, "split"), "t",
+             "model_payload.trees[0].split.t"),
+            ("gbm", ("model_payload",), "learning_rate", "model_payload.learning_rate"),
+            ("gbm", ("model_payload",), "init_value", "model_payload.init_value"),
+        ]
+        for kind, keys, item, where in edits:
+            doc = json.loads(json.dumps(gbm if kind == "gbm" else saved_docs[kind]))
+            container = doc
+            for key in keys:
+                container = container[key]
+            container[item] = "@"
+            path = tmp_path / "edited.mrp.json"
+            path.write_text(json.dumps(doc).replace('"@"', literal))
+            with pytest.raises(CorruptArtifact) as err:
+                load(path)
+            assert err.value.field_path == where
+            assert "beyond the double range" in str(err.value)
+
     def test_mistyped_ridge_flag(self, saved_docs, tmp_path):
         doc = saved_docs["linear"]
         doc["model_payload"]["used_ridge_fallback"] = "x"
