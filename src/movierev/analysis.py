@@ -58,7 +58,7 @@ def summarize(table: DataTable) -> SummaryStats:
         out[c.name] = ColumnStats(
             mean=float(np.mean(col)),
             median=float(med),
-            stddev=float(np.sqrt(np.mean((col - np.mean(col)) ** 2))),
+            stddev=preprocess.population_std(col, np.mean(col)),
             min=float(np.min(col)),
             max=float(np.max(col)),
             q1=float(q1),
@@ -79,7 +79,14 @@ def pearson_r(x, y) -> float:
     syy = float(np.sum(dy * dy))
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation is undefined for a constant array")
-    r = float(np.sum(dx * dy)) / math.sqrt(sxx * syy)
+    norm = math.sqrt(sxx * syy)
+    if not math.isfinite(norm):
+        # the squares overflowed; r is the same for the deviations divided
+        # by their largest magnitudes, whose squares stay in range
+        dx = dx / np.max(np.abs(dx))
+        dy = dy / np.max(np.abs(dy))
+        norm = math.sqrt(float(np.sum(dx * dx)) * float(np.sum(dy * dy)))
+    r = float(np.sum(dx * dy)) / norm
     return max(-1.0, min(1.0, r))
 
 

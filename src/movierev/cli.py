@@ -208,7 +208,6 @@ def _request_interactive(feature_schema, artifact_kind, reader=None) -> tuple[di
 
 def cmd_predict(args) -> int:
     artifact = persist.load(args.artifact)
-    persist.check_schema_hash(artifact)
     pipeline = artifact.pipeline
     feature_schema = tuple(c for c in pipeline.fitted_on_schema if c.role == FEATURE)
 
@@ -313,7 +312,6 @@ def cmd_select_features(args) -> int:
 
 def cmd_evaluate(args) -> int:
     artifact = persist.load(args.artifact)
-    persist.check_schema_hash(artifact)
     clean = drop_incomplete_rows(load_table(args.data))
     X, y = preprocess.transform(artifact.pipeline, clean)
     pred = models.predict(artifact.model, X)
@@ -390,7 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DataError as exc:
@@ -398,6 +396,9 @@ def main(argv=None) -> int:
         return 3
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 4
     except ArtifactError as exc:
         print(f"artifact error: {exc}", file=sys.stderr)

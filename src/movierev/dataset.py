@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSplit, EmptyResult, MissingColumn, ParseError
+from .errors import DegenerateSplit, EmptyResult, MissingColumn, ParseError, UnreadableCsv
 from .rng import Xoshiro256StarStar
 
 NUMERIC = "numeric"
@@ -203,8 +203,8 @@ def load_table(path, schema=MOVIE_SCHEMA) -> DataTable:
     the file are ignored and columns come out in schema order.
     """
     schema = validate_schema(schema, require_target=True)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -230,6 +230,24 @@ def load_table(path, schema=MOVIE_SCHEMA) -> DataTable:
                     value = _clean_categorical_cell(cell)
                 raw_columns[c.name].append(value)
     return DataTable(schema, raw_columns)
+
+
+def _csv_rows(fh, path):
+    """The rows of ``csv.reader(fh)``; text that is not UTF-8, or that the
+    reader cannot split, raises ``UnreadableCsv`` naming the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise UnreadableCsv(f"line {reader.line_num} of {str(path)!r}: {exc}") from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            for line, data in enumerate(raw, start=1):
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise UnreadableCsv(f"line {line} of {str(path)!r} is not UTF-8 text") from None
 
 
 def write_csv(table: DataTable, path) -> None:

@@ -41,6 +41,11 @@ class ParseError(DataError):
         self.column = column
 
 
+class UnreadableCsv(DataError):
+    """A CSV file that is not UTF-8 text, or that the CSV reader cannot
+    split, such as a field longer than its limit."""
+
+
 class EmptyResult(DataError):
     """An operation produced a table with zero rows."""
 
@@ -94,6 +99,11 @@ class DimensionMismatch(ModelError):
         super().__init__(msg)
         self.expected = expected
         self.got = got
+
+
+class NonFiniteResult(ModelError):
+    """A fitted solution or an evaluation metric overflowed to infinity or
+    became NaN; the targets or features are too large."""
 
 
 class NonFiniteSplit(ModelError):

@@ -6,11 +6,12 @@ the mean and counted, since a percentage error is undefined there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllExcluded, ConstantTarget, DomainError
+from .errors import AllExcluded, ConstantTarget, DomainError, NonFiniteResult
 
 MAPE_ZERO_GUARD = 1e-8
 
@@ -103,7 +104,8 @@ def eval_report(y, yhat, split_label: str, target_space: str) -> EvalReport:
     in that space directly. MSLE is always computed on raw currency
     values (inverted via expm1 when the space is log); negative raw
     predictions are clamped to zero there, since revenue cannot be
-    negative and the logarithm needs values > -1.
+    negative and the logarithm needs values > -1. A metric that is not
+    finite raises NonFiniteResult.
     """
     y, yhat = _pair(y, yhat)
     if target_space == LOG_SPACE:
@@ -113,13 +115,19 @@ def eval_report(y, yhat, split_label: str, target_space: str) -> EvalReport:
     else:
         raise ValueError(f"unknown target space {target_space!r}")
     pct, excluded = mape_detail(y, yhat)
+    scores = {
+        "r2": r2(y, yhat),
+        "mape_percent": pct,
+        "msle": msle(np.maximum(y_raw, 0.0), np.maximum(yhat_raw, 0.0)),
+        "mse": mse(y, yhat),
+    }
+    overflowed = [name for name, value in scores.items() if not math.isfinite(value)]
+    if overflowed:
+        raise NonFiniteResult(f"{split_label} {', '.join(overflowed)} not finite")
     return EvalReport(
         split_label=split_label,
-        r2=r2(y, yhat),
-        mape_percent=pct,
         mape_excluded=excluded,
-        msle=msle(np.maximum(y_raw, 0.0), np.maximum(yhat_raw, 0.0)),
-        mse=mse(y, yhat),
         n=int(y.size),
         target_space=target_space,
+        **scores,
     )

@@ -31,11 +31,12 @@ fit is a pure function of (data, config, seed).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteSplit, SingularAfterRidge
+from .errors import DimensionMismatch, NonFiniteResult, NonFiniteSplit, SingularAfterRidge
 from .metrics import r2 as _r2_score
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -57,18 +58,18 @@ DEFAULT_BOOST_DEPTH = 3
 DEFAULT_REG_LAMBDA = 1.0
 DEFAULT_REG_GAMMA = 0.0
 
-PARAM_NAMES = frozenset(
-    {
-        "n_estimators",
-        "max_depth",
-        "learning_rate",
-        "min_samples_split",
-        "min_samples_leaf",
-        "max_features",
-        "reg_lambda",
-        "reg_gamma",
-    }
-)
+# the value types each parameter of ``fit_model`` takes; a bool, which
+# Python counts as an int, is refused everywhere
+PARAM_TYPES = {
+    "n_estimators": numbers.Integral,
+    "max_depth": (numbers.Integral, type(None)),
+    "learning_rate": numbers.Real,
+    "min_samples_split": numbers.Integral,
+    "min_samples_leaf": numbers.Integral,
+    "max_features": (numbers.Integral, type(None)),
+    "reg_lambda": numbers.Real,
+    "reg_gamma": numbers.Real,
+}
 
 
 # --------------------------------------------------------------------------
@@ -520,7 +521,8 @@ def fit_ols(X, y) -> LinearModel:
     When a Cholesky pivot of the Gram matrix drops below 1e-10 times its
     largest diagonal entry the system is treated as numerically singular
     and refit with 1e-8 added to the diagonal (a tiny ridge); if even that
-    breaks down, SingularAfterRidge is raised.
+    breaks down, SingularAfterRidge is raised. A solution that is not
+    finite (the data overflowed) raises NonFiniteResult.
     """
     X = _as_matrix(X)
     y = _as_vector(y, X.shape[0])
@@ -537,6 +539,8 @@ def fit_ols(X, y) -> LinearModel:
         beta = _cholesky_solve(G + 1e-8 * np.eye(p + 1), b, 0.0)
         if beta is None:
             raise SingularAfterRidge("normal equations unsolvable even with ridge")
+    if not np.all(np.isfinite(beta)):
+        raise NonFiniteResult("the least-squares solution is not finite; rescale the data")
     return LinearModel(
         coefficients=beta[:p].copy(),
         intercept=float(beta[p]),
@@ -562,9 +566,12 @@ def fit_model(kind: str, X, y, params: dict | None = None, seed: int = 0):
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     params = dict(params or {})
-    unknown = set(params) - PARAM_NAMES
+    unknown = params.keys() - PARAM_TYPES.keys()
     if unknown:
         raise ValueError(f"unknown parameters: {sorted(unknown)}")
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, PARAM_TYPES[name]):
+            raise ValueError(f"parameter {name} cannot be {value!r}")
     if kind == KIND_LINEAR:
         return fit_ols(X, y)
     config = _tree_config_from(params, DEFAULT_BOOST_DEPTH if kind in BOOSTING_KINDS else None)

@@ -26,6 +26,7 @@ from .errors import ArtifactError, CorruptArtifact, SchemaHashMismatch, VersionM
 from .models import (
     KIND_BAGGING,
     KIND_FOREST,
+    KIND_GBM,
     KIND_LINEAR,
     KIND_TREE,
     KIND_XGB,
@@ -44,6 +45,10 @@ ARTIFACT_SUFFIX = ".mrp.json"
 # the v1 ``model_kind`` of each in-memory kind; only the forest differs
 _V1_KIND = {kind: kind for kind in KINDS} | {KIND_FOREST: "random_forest"}
 _KIND_OF_V1 = {name: kind for kind, name in _V1_KIND.items()}
+
+# the float fields of a boosting payload, which the writer and the reader share
+_GBM_FLOATS = ("learning_rate", "init_value")
+_BOOSTING_FLOATS = {KIND_GBM: _GBM_FLOATS, KIND_XGB: _GBM_FLOATS + ("reg_lambda", "reg_gamma")}
 
 
 @dataclass(frozen=True)
@@ -87,15 +92,6 @@ def make_artifact(
     )
 
 
-def check_schema_hash(artifact: ModelArtifact) -> None:
-    """Prediction-time guard: stored hash must match the pipeline schema."""
-    expected = schema_hash(artifact.pipeline.fitted_on_schema)
-    if artifact.training_meta.get("schema_hash") != expected:
-        raise SchemaHashMismatch(
-            "artifact schema hash does not match its pipeline schema"
-        )
-
-
 # --------------------------------------------------------------------------
 # encoding
 
@@ -127,14 +123,8 @@ def _encode_model(kind: str, model) -> dict:
             "trees": [_encode_tree(t) for t in model.trees],
             "per_tree_seeds": [int(s) for s in model.per_tree_seeds],
         }
-    payload = {
-        "trees": [_encode_tree(t) for t in model.trees],
-        "learning_rate": float(model.learning_rate),
-        "init_value": float(model.init_value),
-    }
-    if kind == KIND_XGB:
-        payload["reg_lambda"] = float(model.reg_lambda)
-        payload["reg_gamma"] = float(model.reg_gamma)
+    payload = {"trees": [_encode_tree(t) for t in model.trees]}
+    payload.update((name, float(getattr(model, name))) for name in _BOOSTING_FLOATS[kind])
     return payload
 
 
@@ -203,62 +193,50 @@ def save(artifact: ModelArtifact, path) -> None:
 _NUMBER = (int, float)
 
 
-def _expect(mapping, key, kinds, path):
-    """``mapping[key]``, which must exist and have one of the JSON types
-    ``kinds``; ``path`` locates ``mapping`` in the document."""
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise CorruptArtifact(f"{path}.{key}", "missing")
-    value = mapping[key]
-    if isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)):
-        return value  # the check of _typed, inline: this runs for every tree node
-    return _typed(value, kinds, path, key)
-
-
-def _typed(value, kinds, path, key):
+def _check(value, kinds, path, key):
     """``value``, found at ``key`` (a name, or a list index) under
-    ``path``, if it has one of the JSON types ``kinds``. A bool is an
-    ``int`` to Python, so it passes only where ``kinds`` is ``bool``."""
-    if isinstance(value, kinds) and (kinds is bool or not isinstance(value, bool)):
+    ``path``, if it has one of the JSON types ``kinds``. ``float`` means a
+    finite JSON number, returned as a float: ``json`` reads a literal
+    beyond the double range, such as ``1e400``, as infinity, and ``float``
+    refuses such an integer. A bool is an ``int`` to Python, so it passes
+    only where ``kinds`` is ``bool``."""
+    if value.__class__ is not kinds:  # the exact class skips this: it runs for every tree node
+        wanted = _NUMBER if kinds is float else kinds
+        if not isinstance(value, wanted) or (isinstance(value, bool) and kinds is not bool):
+            raise CorruptArtifact(_where(path, key), f"expected {wanted}")
+        if kinds is not float:
+            return value
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    elif kinds is not float:
         return value
-    raise CorruptArtifact(_where(path, key), f"expected {kinds}")
+    if math.isfinite(value):
+        return value
+    raise CorruptArtifact(_where(path, key), "number beyond the double range")
 
 
 def _where(path, key):
     return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
 
 
-def _finite(number, path, key):
-    """The JSON number ``number``, found at ``key`` under ``path``, as a
-    finite float. ``json`` reads a literal beyond the double range, such
-    as ``1e400``, as infinity, and ``float`` refuses such an integer."""
-    try:
-        value = float(number)
-    except OverflowError:
-        value = math.inf
-    if math.isfinite(value):
-        return value
-    raise CorruptArtifact(_where(path, key), "number beyond the double range")
+def _expect(mapping, key, kinds, path):
+    """``mapping[key]``, which must exist and pass :func:`_check`;
+    ``path`` locates ``mapping`` in the document."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise CorruptArtifact(f"{path}.{key}", "missing")
+    return _check(mapping[key], kinds, path, key)
 
 
-def _expect_float(mapping, key, path):
-    """``mapping[key]``, which must be a JSON number, as a finite float."""
-    value = _expect(mapping, key, _NUMBER, path)
-    if value.__class__ is float and math.isfinite(value):
-        return value  # the common case, without a call: this runs for every tree node
-    return _finite(value, path, key)
-
-
-def _expect_list(mapping, key, kinds, path):
-    """The list ``mapping[key]``, each item of the JSON types ``kinds``."""
-    items = _expect(mapping, key, list, path)
-    return [_typed(v, kinds, f"{path}.{key}", i) for i, v in enumerate(items)]
-
-
-def _expect_numbers(mapping, key, path):
-    """The object ``mapping[key]`` of numbers, as finite floats by name."""
+def _expect_items(mapping, key, container, kinds, path):
+    """The ``list`` or ``dict`` ``mapping[key]``, each item checked for
+    the JSON types ``kinds`` at its own path."""
+    items = _expect(mapping, key, container, path)
     where = f"{path}.{key}"
-    items = _expect(mapping, key, dict, path)
-    return {k: _finite(_typed(v, _NUMBER, where, k), where, k) for k, v in items.items()}
+    if container is list:
+        return [_check(v, kinds, where, i) for i, v in enumerate(items)]
+    return {k: _check(v, kinds, where, k) for k, v in items.items()}
 
 
 def _expect_choice(mapping, key, choices, path):
@@ -275,28 +253,26 @@ def _decode_tree(doc, path, features):
     if not isinstance(doc, dict) or len(doc) != 1:
         raise CorruptArtifact(path, "tree node must have exactly one tag")
     if "leaf" in doc:
+        here = f"{path}.leaf"
         body = doc["leaf"]
-        value = _expect_float(body, "v", f"{path}.leaf")
-        n = _expect(body, "n", int, f"{path}.leaf")
+        value = _expect(body, "v", float, here)
+        n = _expect(body, "n", int, here)
         if n < 0:
-            raise CorruptArtifact(f"{path}.leaf.n", f"negative row count {n}")
+            raise CorruptArtifact(f"{here}.n", f"negative row count {n}")
         return Leaf(value=value, n_samples=n)
     if "split" in doc:
+        here = f"{path}.split"
         body = doc["split"]
-        feature = _expect(body, "f", int, f"{path}.split")
+        feature = _expect(body, "f", int, here)
         if feature not in features:
             raise CorruptArtifact(
-                f"{path}.split.f", f"feature index {feature} outside [0, {len(features)})"
+                f"{here}.f", f"feature index {feature} outside [0, {len(features)})"
             )
         return Split(
             feature_index=feature,
-            threshold=_expect_float(body, "t", f"{path}.split"),
-            left=_decode_tree(
-                _expect(body, "l", dict, f"{path}.split"), f"{path}.split.l", features
-            ),
-            right=_decode_tree(
-                _expect(body, "r", dict, f"{path}.split"), f"{path}.split.r", features
-            ),
+            threshold=_expect(body, "t", float, here),
+            left=_decode_tree(_expect(body, "l", dict, here), f"{here}.l", features),
+            right=_decode_tree(_expect(body, "r", dict, here), f"{here}.r", features),
         )
     raise CorruptArtifact(path, "unknown tree node tag")
 
@@ -305,16 +281,14 @@ def _decode_model(kind, payload, n_features):
     path = "model_payload"
     features = range(n_features)
     if kind == KIND_LINEAR:
-        where = f"{path}.coefficients"
-        coeffs = [
-            _finite(c, where, i)
-            for i, c in enumerate(_expect_list(payload, "coefficients", _NUMBER, path))
-        ]
+        coeffs = _expect_items(payload, "coefficients", list, float, path)
         if len(coeffs) != n_features:
-            raise CorruptArtifact(where, f"{len(coeffs)} coefficients for {n_features} features")
+            raise CorruptArtifact(
+                f"{path}.coefficients", f"{len(coeffs)} coefficients for {n_features} features"
+            )
         return LinearModel(
             coefficients=np.array(coeffs, dtype=np.float64),
-            intercept=_expect_float(payload, "intercept", path),
+            intercept=_expect(payload, "intercept", float, path),
             used_ridge_fallback=_expect(payload, "used_ridge_fallback", bool, path),
         )
     if kind == KIND_TREE:
@@ -324,17 +298,10 @@ def _decode_model(kind, payload, n_features):
         raise CorruptArtifact(f"{path}.trees", "an ensemble needs at least one tree")
     trees = [_decode_tree(doc, f"{path}.trees[{i}]", features) for i, doc in enumerate(docs)]
     if kind in (KIND_BAGGING, KIND_FOREST):
-        seeds = _expect_list(payload, "per_tree_seeds", int, path)
+        seeds = _expect_items(payload, "per_tree_seeds", list, int, path)
         return EnsembleModel(kind=kind, trees=trees, per_tree_seeds=seeds)
-    xgb = kind == KIND_XGB
-    return EnsembleModel(
-        kind=kind,
-        trees=trees,
-        learning_rate=_expect_float(payload, "learning_rate", path),
-        init_value=_expect_float(payload, "init_value", path),
-        reg_lambda=_expect_float(payload, "reg_lambda", path) if xgb else None,
-        reg_gamma=_expect_float(payload, "reg_gamma", path) if xgb else None,
-    )
+    floats = {name: _expect(payload, name, float, path) for name in _BOOSTING_FLOATS[kind]}
+    return EnsembleModel(kind=kind, trees=trees, **floats)
 
 
 def _decode_pipeline(doc):
@@ -353,7 +320,7 @@ def _decode_pipeline(doc):
         raise CorruptArtifact(where, "columns differ from the schema's categorical columns")
     classes = {}
     for name in classes_doc:
-        values = _expect_list(classes_doc, name, str, where)
+        values = _expect_items(classes_doc, name, list, str, where)
         if any(a >= b for a, b in zip(values, values[1:])):
             raise CorruptArtifact(f"{where}.{name}", "classes are not sorted and unique")
         classes[name] = tuple(values)
@@ -361,8 +328,8 @@ def _decode_pipeline(doc):
     scaler = None
     if scaler_doc is not None:
         scaler = ScalerParams(
-            means=_expect_numbers(scaler_doc, "means", f"{path}.scaler"),
-            stds=_expect_numbers(scaler_doc, "stds", f"{path}.scaler"),
+            means=_expect_items(scaler_doc, "means", dict, float, f"{path}.scaler"),
+            stds=_expect_items(scaler_doc, "stds", dict, float, f"{path}.scaler"),
         )
     features = sorted(c.name for c in schema if c.role == FEATURE)
     if scaler is not None and not sorted(scaler.means) == sorted(scaler.stds) == features:
@@ -370,8 +337,8 @@ def _decode_pipeline(doc):
     return Pipeline(
         encoder=EncoderMap(classes=classes),
         scaler=scaler,
-        log_budget=bool(_expect(doc, "log_budget", bool, path)),
-        log_target=bool(_expect(doc, "log_target", bool, path)),
+        log_budget=_expect(doc, "log_budget", bool, path),
+        log_target=_expect(doc, "log_target", bool, path),
         fitted_on_schema=schema,
     )
 
@@ -412,10 +379,12 @@ def _decode_document(doc) -> ModelArtifact:
     )
     meta_doc = _expect(doc, "training_meta", dict, "<document>")
     meta = {
-        "seed": int(_expect(meta_doc, "seed", int, "training_meta")),
-        "params": dict(_expect(meta_doc, "params", dict, "training_meta")),
-        "schema_hash": str(_expect(meta_doc, "schema_hash", str, "training_meta")),
+        "seed": _expect(meta_doc, "seed", int, "training_meta"),
+        "params": _expect(meta_doc, "params", dict, "training_meta"),
+        "schema_hash": _expect(meta_doc, "schema_hash", str, "training_meta"),
     }
+    if meta["schema_hash"] != schema_hash(pipeline.fitted_on_schema):
+        raise SchemaHashMismatch("artifact schema hash does not match its pipeline schema")
     return ModelArtifact(
         format_version=version,
         created_utc=created,

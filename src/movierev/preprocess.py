@@ -12,6 +12,7 @@ training rows only; transforming other tables never mutates the pipeline.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -113,8 +114,20 @@ def fit_scaler(table: DataTable, feature_columns: list[str]) -> ScalerParams:
         col = np.asarray(table.column(name), dtype=np.float64)
         m = float(np.mean(col))
         means[name] = m
-        stds[name] = float(np.sqrt(np.mean((col - m) ** 2)))
+        stds[name] = population_std(col, m)
     return ScalerParams(means, stds)
+
+
+def population_std(col: np.ndarray, mean: float) -> float:
+    """sqrt(mean((col - mean)**2)), the population (1/n) convention. When
+    the squares overflow, the deviations are divided by their largest
+    magnitude first and the root is scaled back."""
+    d = col - mean
+    std = float(np.sqrt(np.mean(d**2)))
+    if not math.isfinite(std):
+        top = float(np.max(np.abs(d)))
+        std = top * float(np.sqrt(np.mean((d / top) ** 2)))
+    return std
 
 
 def apply_scaler(table: DataTable, params: ScalerParams) -> DataTable:

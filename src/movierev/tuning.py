@@ -58,6 +58,12 @@ class ParamGrid:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ParamGrid":
+        """A grid from a JSON object that maps each parameter name to a
+        non-empty list of candidate values."""
+        if not isinstance(mapping, dict) or not all(
+            isinstance(values, list) and values for values in mapping.values()
+        ):
+            raise ValueError("a grid must map each parameter to a non-empty list of values")
         return cls(tuple((name, tuple(values)) for name, values in mapping.items()))
 
     @classmethod

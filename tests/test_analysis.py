@@ -45,6 +45,15 @@ class TestSummarize:
         s = summarize(t).columns["v"]
         assert (s.q1, s.median, s.q3) == (1.75, 2.5, 3.25)
 
+    def test_overflowing_squares_give_a_finite_stddev(self):
+        """The squared deviation of 1e308 overflows; the stddev is the one
+        of the column divided by 1e292, scaled back."""
+        v = [1e308] + [float(i) for i in range(1, 30)]
+        with np.errstate(over="ignore"):
+            s = summarize(tiny_table({"v": v, "y": [0.0] * 30})).columns["v"]
+        scaled = np.array(v) / 1e292
+        assert s.stddev == pytest.approx(1e292 * np.sqrt(np.mean((scaled - scaled.mean()) ** 2)))
+
     def test_ordering_chain_on_random_columns(self):
         rs = np.random.RandomState(4)
         for _ in range(25):
@@ -66,6 +75,18 @@ class TestPearson:
     def test_orthogonal_case(self):
         # oracle: cross deviations cancel pairwise, covariance is 0
         assert pearson_r([1, 2, 1, 2], [1, 1, 2, 2]) == 0.0
+
+    @pytest.mark.parametrize("huge", ["x", "y"])
+    def test_overflowing_squares_keep_r(self, huge):
+        """1e308 squared overflows; r is scale-free, so it equals r of the
+        column divided by 1e300. The clamp used to turn NaN into 1.0."""
+        rs = np.random.RandomState(3)
+        x, y = rs.rand(30), rs.rand(30)
+        x[0] = 1e8
+        big = {"x": (x * 1e300, y), "y": (y, x * 1e300)}[huge]
+        with np.errstate(over="ignore"):
+            assert pearson_r(*big) == pytest.approx(pearson_r(x, y), rel=1e-12)
+            assert f_regression_score(*big) == pytest.approx(f_regression_score(x, y), rel=1e-9)
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):

@@ -1,11 +1,12 @@
 import io
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
-from movierev import models, persist, preprocess
+from movierev import analysis, models, persist, preprocess
 from movierev.cli import main
 from movierev.dataset import FEATURE, NUMERIC, DataTable, write_csv
 from movierev.synthetic import synthetic_movies
@@ -232,6 +233,96 @@ class TestTrain:
         assert code == 0
         report = json.loads((tmp_path / "m.report.json").read_text())
         assert report["test"]["target_space"] == "raw"
+
+
+    @pytest.mark.parametrize("target", ["one 1e308", "all near 1e200"])
+    def test_non_finite_fit_or_metrics_exit_four(self, tmp_path, movies_table, target, capsys):
+        """A 1e308 target overflows the normal equations; targets near 1e200
+        fit, but their squared errors overflow. Both used to print NaN and
+        inf reports, and a report file held NaN, which is not JSON."""
+        gross = np.asarray(movies_table.column("gross"))
+        if target == "one 1e308":
+            gross = np.where(np.arange(movies_table.row_count) == 0, 1e308, gross)
+        else:
+            gross = gross * 1e200
+        data = edited_csv(tmp_path, movies_table, gross=gross)
+        out = tmp_path / "out" / "m.mrp.json"
+        out.parent.mkdir()
+        with np.errstate(all="ignore"):
+            code = run(
+                "train", "--data", str(data), "--model", "linear", "--no-log-money",
+                "--out", str(out),
+            )
+        assert code == 4
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("model error:") and "not finite" in err
+        assert list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "grid", ["[1, 2]", '{"max_depth": 3}', '{"max_depth": ["a"]}', '{"n_estimators": [2.5]}']
+    )
+    def test_malformed_grid_file_exit_two(self, tmp_path, movies_csv, grid, capsys):
+        """Each of these ended in a traceback (exit 1)."""
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(grid)
+        out = tmp_path / "m.mrp.json"
+        code = run(
+            "train", "--data", str(movies_csv), "--model", "gbm", "--out", str(out),
+            "--grid", str(grid_path),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "case", ["train --data", "train --out", "train --grid", "predict --input",
+                 "summarize --out-dir"],
+    )
+    def test_path_of_the_wrong_kind_exit_three(self, trained, tmp_path, movies_csv, case, capsys):
+        """A directory where a file belongs, or a file where a directory
+        belongs, ended in a traceback (exit 1)."""
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        data, model = str(movies_csv), ["--model", "gbm"]
+        out = ["--out", str(tmp_path / "m.mrp.json")]
+        argv = {
+            "train --data": ["train", "--data", str(folder), *model, *out],
+            "train --out": ["train", "--data", data, *model, "--out", str(folder)],
+            "train --grid": ["train", "--data", data, *model, *out, "--grid", str(folder)],
+            "predict --input": ["predict", "--artifact", str(trained), "--input", str(folder)],
+            "summarize --out-dir": ["summarize", "--data", data, "--out-dir", str(trained)],
+        }[case]
+        assert run(*argv) == 3
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
+    def test_out_of_memory_exit_four(self, tmp_path, movies_csv, monkeypatch, capsys):
+        def exhausted(table):
+            raise MemoryError
+
+        monkeypatch.setattr(analysis, "summarize", exhausted)
+        assert run("summarize", "--data", str(movies_csv), "--out-dir", str(tmp_path)) == 4
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    @pytest.mark.parametrize("fault", ["latin-1", "long field"])
+    def test_undecodable_csv_exit_three(self, tmp_path, movies_csv, fault, capsys):
+        """A Latin-1 file exited 2 as a usage error; a field over the CSV
+        reader's 131,072-character limit ended in a traceback."""
+        lines = movies_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        data = tmp_path / "data.csv"
+        if fault == "latin-1":
+            lines[2] = "Amélie " + lines[2]
+            data.write_bytes("".join(lines).encode("latin-1"))
+        else:
+            lines[2] = "x" * 131_073 + lines[2]
+            data.write_text("".join(lines), encoding="utf-8")
+        for command in ("train", "summarize"):
+            argv = [command, "--data", str(data)]
+            argv += ["--out-dir", str(tmp_path / "s")] if command == "summarize" else [
+                "--model", "tree", "--out", str(tmp_path / "m.mrp.json")]
+            assert run(*argv) == 3
+            assert capsys.readouterr().err.startswith(f"data error: line 3 of {str(data)!r}")
 
 
 class TestPredict:
@@ -492,6 +583,23 @@ class TestSelectFeatures:
         assert run(*argv) == 3
         assert "cannot parse numeric cell 'inf'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_cell_keeps_scores_and_stats_finite(self, tmp_path, movies_table):
+        """A votes cell of 1e308 overflows the squared deviations: votes
+        used to rank first with F = inf, and its stddev was inf."""
+        rows = np.arange(movies_table.row_count)
+        votes = np.where(rows == 3, 1e308, movies_table.column("votes"))
+        data = edited_csv(tmp_path, movies_table, votes=votes)
+        with np.errstate(over="ignore"):
+            for flags in ([], ["--expand"]):
+                out = tmp_path / "scores.csv"
+                assert run("select-features", "--data", str(data), "--out", str(out), *flags) == 0
+                scores = dict(line.split(",")[:2] for line in out.read_text().splitlines()[1:])
+                assert math.isfinite(float(scores["votes"])) and float(scores["votes"]) < 10
+            assert run("summarize", "--data", str(data), "--out-dir", str(tmp_path / "s")) == 0
+        stats = (tmp_path / "s" / "summary_stats.csv").read_text().splitlines()
+        votes_row = next(line for line in stats if line.startswith("votes,"))
+        assert all(math.isfinite(float(v)) for v in votes_row.split(",")[1:])
 
     def test_expanded_view(self, tmp_path, movies_csv):
         out = tmp_path / "expanded.csv"

@@ -5,12 +5,16 @@ missing marker, non-finite or huge numbers, a stray quote, a NUL byte)
 must be trained on, evaluated, summarized and scored, or refused with a
 documented exit code: ``cli.main`` returns 0, 2, 3, 4 or 5 and never
 raises. A non-finite number in a numeric cell is a data error (exit 3)
-for every command.
+for every command. A command that exits 0 writes only finite numbers,
+also when a cell holds 1e308, save the F score +inf that
+``analysis.f_regression_score`` gives a feature whose r**2 rounds to 1.
 """
 
 import contextlib
 import csv
 import io
+import json
+import math
 
 import numpy as np
 import pytest
@@ -59,17 +63,51 @@ def with_cell(clean_csv, row: int, column: int, text: str) -> str:
     return out.getvalue().replace(PLACEHOLDER, text)
 
 
+def reject_constant(name):
+    raise AssertionError(f"{name} in a JSON report")
+
+
+def assert_finite_numbers(path):
+    """Every number in the JSON file, or in a CSV cell past the first
+    column (which holds names, such as a category ``inf``), is finite. An
+    F score may be +inf: with a gross of 1e308, the indicator of that
+    movie's own name has r within 1e-300 of 1."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=reject_constant)
+        return
+    rows = list(csv.reader(io.StringIO(text)))
+    scores = rows[0] == ["feature", "score", "selected"]
+    for row in rows:
+        for j, cell in enumerate(row[1:], start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value) or (scores and j == 1 and value > 0), (path.name, row)
+
+
 def test_one_odd_cell_exits_with_a_documented_code(workdir):
     data = workdir / "data.csv"
     out = workdir / "out"
+    # each command with the files it writes on exit 0
     commands = [
-        ["train", "--data", str(data), "--model", kind, "--out", str(out / f"{kind}.mrp.json")]
+        (
+            ["train", "--data", str(data), "--model", kind, "--out", str(out / f"{kind}.mrp.json")],
+            [out / f"{kind}.report.csv", out / f"{kind}.report.json"],
+        )
         for kind in ("tree", "gbm", "linear")
     ] + [
-        ["evaluate", "--artifact", str(workdir / "gbm.mrp.json"), "--data", str(data)],
-        ["summarize", "--data", str(data), "--out-dir", str(out)],
-        ["select-features", "--data", str(data), "--out", str(out / "f.csv")],
-        ["select-features", "--data", str(data), "--expand", "--out", str(out / "fx.csv")],
+        (["evaluate", "--artifact", str(workdir / "gbm.mrp.json"), "--data", str(data)], []),
+        (
+            ["summarize", "--data", str(data), "--out-dir", str(out)],
+            [out / "summary_stats.csv", out / "country_counts.csv", out / "gross_histogram.csv"],
+        ),
+        (["select-features", "--data", str(data), "--out", str(out / "f.csv")], [out / "f.csv"]),
+        (
+            ["select-features", "--data", str(data), "--expand", "--out", str(out / "fx.csv")],
+            [out / "fx.csv"],
+        ),
     ]
     out.mkdir()
 
@@ -82,8 +120,11 @@ def test_one_odd_cell_exits_with_a_documented_code(workdir):
     def check(row, column, text):
         data.write_text(with_cell(workdir / "clean.csv", row, column, text), encoding="utf-8")
         data_error = row > 0 and MOVIE_SCHEMA[column].kind == NUMERIC and text in NON_FINITE
-        for argv in commands:
+        for argv, written in commands:
             code = run_quietly(argv)
             assert (code == 3) if data_error else (code in EXIT_CODES), argv
+            if code == 0:
+                for path in written:
+                    assert_finite_numbers(path)
 
     check()

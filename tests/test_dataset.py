@@ -17,7 +17,13 @@ from movierev.dataset import (
     train_test_split,
     write_csv,
 )
-from movierev.errors import DegenerateSplit, EmptyResult, MissingColumn, ParseError
+from movierev.errors import (
+    DegenerateSplit,
+    EmptyResult,
+    MissingColumn,
+    ParseError,
+    UnreadableCsv,
+)
 
 SMALL_SCHEMA = (
     ColumnSpec("city", CATEGORICAL, FEATURE),
@@ -82,6 +88,22 @@ class TestLoadTable:
         with pytest.raises(ParseError) as err:
             load_table(path, SMALL_SCHEMA)
         assert (err.value.row, err.value.column) == (1, "votes")
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        text = "city,votes,gross\na,1,2\n"
+        plain = load_table(_write(tmp_path, text), SMALL_SCHEMA)
+        assert load_table(_write(tmp_path, "\ufeff" + text, "bom.csv"), SMALL_SCHEMA) == plain
+
+    def test_text_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("city,votes,gross\na,1,2\nb,1,2\nZürich,3,4\n".encode("latin-1"))
+        with pytest.raises(UnreadableCsv, match="line 4 of .* is not UTF-8 text"):
+            load_table(path, SMALL_SCHEMA)
+
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
+        path = _write(tmp_path, "city,votes,gross\na,1,2\n" + "b" * 131_073 + ",3,4\n")
+        with pytest.raises(UnreadableCsv, match="line 3 of .*field larger than field limit"):
+            load_table(path, SMALL_SCHEMA)
 
     def test_round_trip_through_write_csv(self, tmp_path, movies_table):
         path = tmp_path / "out.csv"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from movierev.errors import AllExcluded, ConstantTarget, DomainError
+from movierev.errors import AllExcluded, ConstantTarget, DomainError, NonFiniteResult
 from movierev.metrics import (
     EvalReport,
     eval_report,
@@ -130,6 +130,14 @@ class TestEvalReport:
         row = rep.csv_row("gbm")
         assert row.split(",")[0] == "gbm"
         assert len(row.split(",")) == len(EvalReport.CSV_HEADER.split(","))
+
+    def test_non_finite_metrics_raise(self):
+        """SStot of values near 1e200 overflows (r2 NaN, mse inf); the
+        report used to hold them, and json wrote NaN and Infinity."""
+        y = np.array([1e200, 2e200, 4e200])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteResult, match="train r2, mse not finite"):
+                eval_report(y, y * 1.5, "train", "raw")
 
     def test_rejects_unknown_space(self):
         with pytest.raises(ValueError):

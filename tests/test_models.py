@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from movierev.errors import DimensionMismatch, ModelError, NonFiniteSplit, SingularAfterRidge
+from movierev.errors import (
+    DimensionMismatch,
+    ModelError,
+    NonFiniteResult,
+    NonFiniteSplit,
+    SingularAfterRidge,
+)
 from movierev.models import (
     EnsembleModel,
     Leaf,
@@ -144,6 +150,14 @@ class TestOls:
     def test_needs_enough_rows(self):
         with pytest.raises(ValueError):
             fit_ols([[1.0, 2.0]], [1.0])
+
+    def test_non_finite_solution_raises(self):
+        """X'y overflows for a target of 1e308; the solution used to come
+        back as NaN coefficients."""
+        X = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2])
+        y = np.array([1.0, 2.0, 1e308, 3.0, 5.0, 4.0])
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult, match="not finite"):
+            fit_ols(X, y)
 
     def test_all_zero_features_after_ridge(self):
         # two identical zero columns have no information at all; the ridge
@@ -596,6 +610,27 @@ class TestFitModelDispatch:
     def test_unknown_param(self):
         with pytest.raises(ValueError):
             fit_model("gbm", np.zeros((3, 1)), np.zeros(3), {"depth": 3})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_depth", 2.5), ("max_depth", True), ("max_depth", "a"), ("n_estimators", 2.5),
+         ("n_estimators", None), ("min_samples_leaf", 1.0), ("max_features", False),
+         ("learning_rate", "0.1"), ("learning_rate", True), ("reg_lambda", None)],
+    )
+    def test_param_of_the_wrong_type(self, name, value):
+        """``max_depth`` 2.5 or true used to fit; the others failed inside
+        the fit with a TypeError."""
+        rs = np.random.RandomState(3)
+        X, y = rs.rand(20, 3), rs.rand(20)
+        with pytest.raises(ValueError, match=f"parameter {name} cannot be"):
+            fit_model("xgb", X, y, {name: value})
+
+    def test_params_that_may_be_none(self):
+        rs = np.random.RandomState(3)
+        X, y = rs.rand(20, 3), rs.rand(20)
+        params = {"max_depth": None, "max_features": None, "n_estimators": np.int64(2),
+                  "learning_rate": 1}
+        assert len(fit_model("gbm", X, y, params).trees) == 2
 
     def test_forest_has_one_name(self):
         rs = np.random.RandomState(3)

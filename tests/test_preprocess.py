@@ -101,6 +101,13 @@ class TestScaler:
         # oracle: sqrt(((1-2)^2 + 0 + (3-2)^2) / 3)
         assert params.stds["budget"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
+    def test_overflowing_squares_give_a_finite_std(self):
+        t = make_table(["a"] * 3, [1e308, 0.0, 0.0], [0, 0, 1])
+        with np.errstate(over="ignore"):
+            params = fit_scaler(t, ["budget"])
+        # oracle: 1e308 * population std of [1, 0, 0] = 1e308 * sqrt(2) / 3
+        assert params.stds["budget"] == pytest.approx(1e308 * math.sqrt(2.0) / 3.0)
+
     def test_constant_and_singleton_columns(self):
         t = make_table(["a", "a"], [5.0, 5.0], [0, 1])
         enc, _ = encode_table(t, fit_encoders(t))

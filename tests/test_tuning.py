@@ -128,6 +128,13 @@ class TestParamGrid:
         grid = ParamGrid.from_json_file(path)
         assert len(grid.combinations()) == 2
 
+    @pytest.mark.parametrize(
+        "doc", [[1, 2], {"max_depth": 3}, {"max_depth": []}, {"max_depth": "23"}, "x"]
+    )
+    def test_from_dict_needs_an_object_of_non_empty_lists(self, doc):
+        with pytest.raises(ValueError, match="non-empty list"):
+            ParamGrid.from_dict(doc)
+
     def test_default_grid_shape(self):
         grid = ParamGrid(DEFAULT_GRID)
         assert len(grid.combinations()) == 27
