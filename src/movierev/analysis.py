@@ -75,8 +75,9 @@ def pearson_r(x, y) -> float:
         raise ValueError("pearson_r needs two equal-length arrays of size >= 2")
     dx = x - np.mean(x)
     dy = y - np.mean(y)
-    sxx = float(np.sum(dx * dx))
-    syy = float(np.sum(dy * dy))
+    with np.errstate(over="ignore"):
+        sxx = float(np.sum(dx * dx))
+        syy = float(np.sum(dy * dy))
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation is undefined for a constant array")
     norm = math.sqrt(sxx * syy)
@@ -137,13 +138,12 @@ def expand_categorical(table: DataTable) -> tuple[np.ndarray, list[str]]:
 
     Analysis-only view for per-category scoring; never fed to models.
     """
+    features = [c for c in table.schema if c.role == FEATURE]
     encoder = preprocess.fit_encoders(table)
-    encoded, _ = preprocess.encode_table(table, encoder)
+    encoded, _ = preprocess.encode_table(table, encoder, [c.name for c in features])
     blocks, names = [], []
-    for c in table.schema:
-        if c.role != FEATURE:
-            continue
-        col = encoded.column(c.name)[:, None]
+    for c, col in zip(features, encoded.T):
+        col = col[:, None]
         if c.kind == CATEGORICAL:
             classes = encoder.classes[c.name]
             names += [f"{c.name}={category}" for category in classes]

@@ -135,9 +135,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read(reader, prompt: str, field: str) -> str:
+    try:
+        return reader(prompt)
+    except EOFError:
+        raise InvalidField(field, "input ended") from None
+
+
 def _prompt(field: str, reader, numeric: bool):
     while True:
-        raw = reader(f"{field}: ")
+        raw = _read(reader, f"{field}: ", field)
         try:
             return _parse_request_value(field, raw, numeric)
         except InvalidField as exc:
@@ -147,6 +154,8 @@ def _prompt(field: str, reader, numeric: bool):
 def _parse_request_value(field: str, raw, numeric: bool):
     if raw is None:
         raise InvalidField(field, "missing")
+    if isinstance(raw, (bool, list, dict)):
+        raise InvalidField(field, f"must be a number or a string, not {json.dumps(raw)}")
     if numeric:
         try:
             value = (
@@ -164,7 +173,8 @@ def _parse_request_value(field: str, raw, numeric: bool):
 
 
 def _request_from_file(path, feature_schema) -> tuple[dict, str]:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a leading byte-order mark is skipped, as in CSVs
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -193,7 +203,7 @@ def _request_interactive(feature_schema, artifact_kind, reader=None) -> tuple[di
     for i, (_, label) in enumerate(MODEL_MENU, start=1):
         print(f"  {i}. {label}")
     while True:
-        raw = reader("model [1-6]: ").strip()
+        raw = _read(reader, "model [1-6]: ", "model").strip()
         if raw in {str(i) for i in range(1, len(MODEL_MENU) + 1)}:
             kind = MODEL_MENU[int(raw) - 1][0]
             if kind == artifact_kind:
@@ -270,7 +280,7 @@ def cmd_summarize(args) -> int:
 
 
 def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ",\"\n"):
+    if any(ch in cell for ch in ",\"\n\r"):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 

@@ -1,6 +1,7 @@
 """Encode, log-transform and scale movie tables into model matrices.
 
-A fitted :class:`Pipeline` applies three stages in a fixed order:
+A fitted :class:`Pipeline` applies three stages in a fixed order, each
+writing into the one float64 feature matrix (no intermediate tables):
 
 1. label-encode every categorical column (lexicographic class codes),
 2. optionally log1p the ``budget`` feature and the ``gross`` target,
@@ -80,42 +81,29 @@ def fit_encoders(table: DataTable) -> EncoderMap:
     return EncoderMap(classes)
 
 
-def encode_table(table: DataTable, encoder: EncoderMap) -> tuple[DataTable, list[tuple[str, str]]]:
-    """Replace categorical cells by float codes.
+def encode_table(
+    table: DataTable, encoder: EncoderMap, names: list[str]
+) -> tuple[np.ndarray, list[tuple[str, str]]]:
+    """Float64 matrix with one column per listed name, in the order given;
+    categorical cells become their class codes.
 
-    Returns the all-numeric table and a warning list of
-    (column, unseen value) pairs; unseen categories are coded with the
-    sentinel k rather than rejected so prediction on new movies works.
+    Returns the matrix and a warning list of (column, unseen value)
+    pairs; unseen categories are coded with the sentinel k rather than
+    rejected so prediction on new movies works.
     """
     warnings: list[tuple[str, str]] = []
-    columns = {}
-    schema = []
-    for c in table.schema:
-        if c.kind == CATEGORICAL:
-            codes = np.empty(table.row_count, dtype=np.float64)
-            for i, value in enumerate(table.column(c.name)):
-                code, known = encoder.code(c.name, value)
-                if not known:
-                    warnings.append((c.name, value))
-                codes[i] = code
-            columns[c.name] = codes
-            schema.append(ColumnSpec(c.name, NUMERIC, c.role))
-        else:
-            columns[c.name] = np.asarray(table.column(c.name))
-            schema.append(c)
-    return DataTable(tuple(schema), columns), warnings
-
-
-def fit_scaler(table: DataTable, feature_columns: list[str]) -> ScalerParams:
-    """Mean and population standard deviation per listed column."""
-    means = {}
-    stds = {}
-    for name in feature_columns:
-        col = np.asarray(table.column(name), dtype=np.float64)
-        m = float(np.mean(col))
-        means[name] = m
-        stds[name] = population_std(col, m)
-    return ScalerParams(means, stds)
+    kinds = {c.name: c.kind for c in table.schema}
+    matrix = np.empty((table.row_count, len(names)), dtype=np.float64)
+    for name, col in zip(names, matrix.T):
+        if kinds[name] == NUMERIC:
+            col[:] = table.column(name)
+            continue
+        for i, value in enumerate(table.column(name)):
+            code, known = encoder.code(name, value)
+            if not known:
+                warnings.append((name, value))
+            col[i] = code
+    return matrix, warnings
 
 
 def population_std(col: np.ndarray, mean: float) -> float:
@@ -123,25 +111,12 @@ def population_std(col: np.ndarray, mean: float) -> float:
     the squares overflow, the deviations are divided by their largest
     magnitude first and the root is scaled back."""
     d = col - mean
-    std = float(np.sqrt(np.mean(d**2)))
+    with np.errstate(over="ignore"):
+        std = float(np.sqrt(np.mean(d**2)))
     if not math.isfinite(std):
         top = float(np.max(np.abs(d)))
         std = top * float(np.sqrt(np.mean((d / top) ** 2)))
     return std
-
-
-def apply_scaler(table: DataTable, params: ScalerParams) -> DataTable:
-    """(x - mean) / std per fitted column; zero-variance columns use
-    divisor 1, so their cells become 0."""
-    columns = {}
-    for c in table.schema:
-        col = np.asarray(table.column(c.name), dtype=np.float64)
-        if c.name in params.means:
-            std = params.stds[c.name]
-            columns[c.name] = (col - params.means[c.name]) / (std if std > 0.0 else 1.0)
-        else:
-            columns[c.name] = col
-    return DataTable(table.schema, columns)
 
 
 def log1p_transform(values) -> np.ndarray:
@@ -155,24 +130,27 @@ def expm1_inverse(values) -> np.ndarray:
     return np.expm1(np.asarray(values, dtype=np.float64))
 
 
-def _encode_log(table: DataTable, encoder: EncoderMap, log_budget: bool):
-    """Stages 1 and 2: (encoded table, unseen-category warnings)."""
-    encoded, warnings = encode_table(table, encoder)
-    if log_budget and ColumnSpec(MONEY_FEATURE, NUMERIC, FEATURE) in encoded.schema:
-        columns = dict(encoded.columns)
-        columns[MONEY_FEATURE] = log1p_transform(columns[MONEY_FEATURE])
-        encoded = DataTable(encoded.schema, columns)
-    return encoded, warnings
+def _encode_log(table: DataTable, encoder: EncoderMap, names: list[str], log_budget: bool):
+    """Stages 1 and 2: (feature matrix, unseen-category warnings)."""
+    matrix, warnings = encode_table(table, encoder, names)
+    if log_budget and MONEY_FEATURE in names:
+        j = names.index(MONEY_FEATURE)
+        matrix[:, j] = log1p_transform(matrix[:, j])
+    return matrix, warnings
 
 
 def fit_pipeline(table: DataTable, scale: bool = True, log_money: bool = True) -> Pipeline:
     """Fit the full encode / log / scale pipeline on a cleaned table; the
-    table is encoded and logged only for the scaler statistics."""
+    table is encoded and logged only for the scaler statistics: the mean
+    and population standard deviation of each matrix column."""
     encoder = fit_encoders(table)
     scaler = None
     if scale:
-        encoded, _ = _encode_log(table, encoder, log_money)
-        scaler = fit_scaler(encoded, [c.name for c in table.schema if c.role == FEATURE])
+        names = [c.name for c in table.schema if c.role == FEATURE]
+        matrix, _ = _encode_log(table, encoder, names, log_money)
+        means = [float(np.mean(col)) for col in matrix.T]
+        stds = [population_std(col, m) for col, m in zip(matrix.T, means)]
+        scaler = ScalerParams(dict(zip(names, means)), dict(zip(names, stds)))
     return Pipeline(
         encoder=encoder,
         scaler=scaler,
@@ -209,13 +187,18 @@ def transform_with_warnings(
     schema order.
     """
     has_target = _check_schema(pipeline, table)
-    encoded, warnings = _encode_log(table, pipeline.encoder, pipeline.log_budget)
-    if pipeline.scaler is not None:
-        encoded = apply_scaler(encoded, pipeline.scaler)
-    matrix = np.column_stack([encoded.column(name) for name in pipeline.feature_names])
+    names = pipeline.feature_names
+    matrix, warnings = _encode_log(table, pipeline.encoder, names, pipeline.log_budget)
+    scaler = pipeline.scaler
+    if scaler is not None:
+        # zero-variance columns use divisor 1, so their cells become 0
+        means = np.array([scaler.means[name] for name in names])
+        stds = np.array([scaler.stds[name] for name in names])
+        matrix -= means
+        matrix /= np.where(stds > 0.0, stds, 1.0)
     target = None
     if has_target:
-        target = encoded.column(pipeline.target_name)
+        target = table.column(pipeline.target_name)
         if pipeline.log_target:
             target = log1p_transform(target)
     return matrix, target, warnings

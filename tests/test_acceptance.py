@@ -286,9 +286,8 @@ def test_10_cleaning_row_count(real_tables):
 @requires_dataset
 def test_11_budget_tops_feature_scores(real_tables):
     _, clean = real_tables
-    encoded, _ = preprocess.encode_table(clean, preprocess.fit_encoders(clean))
     names = [c.name for c in clean.schema if c.role == "feature"]
-    matrix = np.column_stack([np.asarray(encoded.column(n)) for n in names])
+    matrix, _ = preprocess.encode_table(clean, preprocess.fit_encoders(clean), names)
     y = np.asarray(clean.column("gross"), dtype=np.float64)
     table = select_k_best(matrix, names, y, k=len(names))
     top_name, top_score = table.entries[0]

@@ -1,14 +1,17 @@
+import csv
 import io
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 from movierev import analysis, models, persist, preprocess
-from movierev.cli import main
+from movierev.cli import _request_interactive, main
 from movierev.dataset import FEATURE, NUMERIC, DataTable, write_csv
+from movierev.errors import InvalidField
 from movierev.synthetic import synthetic_movies
 from tests.conftest import run_python
 
@@ -415,6 +418,51 @@ class TestPredict:
         assert run("predict", "--artifact", str(trained), "--input", str(req_path)) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_request_with_byte_order_mark(self, tmp_path, capsys):
+        """A request file starting with a byte-order mark exited 3."""
+        printed = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            req_path = tmp_path / f"{encoding}.json"
+            req_path.write_text(json.dumps(golden_request()), encoding=encoding)
+            assert run("predict", "--artifact", str(GOLDEN), "--input", str(req_path)) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0].startswith("predicted gross (gbm): ")
+
+    @pytest.mark.parametrize("literal", ["true", "false", "[1]", "{}"])
+    @pytest.mark.parametrize("field", ["budget", "genre"])
+    def test_json_bool_list_or_object_field_exit_three(self, tmp_path, field, literal, capsys):
+        """``"budget": true`` predicted as if the budget were 1.0."""
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(golden_request() | {field: "@"}).replace('"@"', literal))
+        assert run("predict", "--artifact", str(GOLDEN), "--input", str(req_path)) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith(f"data error: invalid field {field!r}: must be a number or a string")
+        assert "predicted" not in out
+
+    @pytest.mark.parametrize("answered", [0, 14], ids=["at a field", "at the menu"])
+    def test_interactive_input_ends(self, answered):
+        """End of input ended in an ``EOFError`` traceback."""
+        feature_schema = tuple(
+            c for c in persist.load(GOLDEN).pipeline.fitted_on_schema if c.role == FEATURE
+        )
+        req = golden_request()
+        answers = iter([str(req[c.name]) for c in feature_schema][:answered])
+
+        def reader(prompt):
+            try:
+                return next(answers)
+            except StopIteration:
+                raise EOFError from None
+
+        with pytest.raises(InvalidField, match="input ended") as err:
+            _request_interactive(feature_schema, "gbm", reader)
+        assert err.value.name == (feature_schema[0].name if answered == 0 else "model")
+
+    def test_interactive_at_end_of_input_exit_three(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert run("predict", "--artifact", str(GOLDEN)) == 3
+        assert capsys.readouterr().err == "data error: invalid field 'name': input ended\n"
+
     @pytest.mark.parametrize(
         "field, value",
         [("f", -1), ("f", 14), ("t", float("nan")), ("t", float("inf"))],
@@ -600,6 +648,42 @@ class TestSelectFeatures:
         stats = (tmp_path / "s" / "summary_stats.csv").read_text().splitlines()
         votes_row = next(line for line in stats if line.startswith("votes,"))
         assert all(math.isfinite(float(v)) for v in votes_row.split(",")[1:])
+
+    def test_handled_overflow_prints_no_numpy_warning(self, tmp_path):
+        """One votes cell of 1e308 overflows the squares that the standard
+        deviation and the correlation start from; the fallbacks recover,
+        but numpy printed its ``RuntimeWarning`` to stderr first."""
+        table = synthetic_movies(60, seed=5)
+        votes = np.where(np.arange(60) == 3, 1e308, table.column("votes"))
+        data = edited_csv(tmp_path, table, votes=votes)
+        commands = [
+            ["summarize", "--data", str(data), "--out-dir", str(tmp_path / "s")],
+            ["train", "--data", str(data), "--model", "linear",
+             "--out", str(tmp_path / "m.mrp.json")],
+            ["select-features", "--data", str(data), "--out", str(tmp_path / "f.csv")],
+        ]
+        for argv in commands:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(*argv) == 0, argv
+            assert [str(w.message) for w in caught] == [], argv
+
+    def test_carriage_return_in_category_stays_in_its_cell(self, tmp_path, movies_table):
+        """A country holding a carriage return split its row in two."""
+        country = list(movies_table.column("country"))
+        country[0] = country[1] = "Fr\rance"
+        data = edited_csv(tmp_path, movies_table, country=country)
+        assert run("summarize", "--data", str(data), "--out-dir", str(tmp_path / "s")) == 0
+        scores = tmp_path / "fscores.csv"
+        assert run("select-features", "--data", str(data), "--expand", "--out", str(scores)) == 0
+        with open(tmp_path / "s" / "country_counts.csv", newline="", encoding="utf-8") as fh:
+            counts = list(csv.reader(fh))
+        assert ["Fr\rance", "2"] in counts
+        assert all(len(row) == 2 for row in counts)
+        with open(scores, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert "country=Fr\rance" in [row[0] for row in rows]
+        assert all(len(row) == 3 for row in rows)
 
     def test_expanded_view(self, tmp_path, movies_csv):
         out = tmp_path / "expanded.csv"

@@ -8,6 +8,10 @@ raises. A non-finite number in a numeric cell is a data error (exit 3)
 for every command. A command that exits 0 writes only finite numbers,
 also when a cell holds 1e308, save the F score +inf that
 ``analysis.f_regression_score`` gives a feature whose r**2 rounds to 1.
+
+A ``predict`` request file for the golden artifact with one field
+replaced by an odd JSON value, or with a leading byte-order mark, is
+predicted (exit 0) or refused as a data error (exit 3), never raised.
 """
 
 import contextlib
@@ -15,6 +19,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movierev.cli import main
-from movierev.dataset import MOVIE_SCHEMA, NUMERIC, write_csv
+from movierev.dataset import FEATURE, MOVIE_SCHEMA, NUMERIC, write_csv
 from movierev.synthetic import synthetic_movies
 
 ROWS = 30
@@ -126,5 +131,41 @@ def test_one_odd_cell_exits_with_a_documented_code(workdir):
             if code == 0:
                 for path in written:
                     assert_finite_numbers(path)
+
+    check()
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden.mrp.json"
+# JSON text for a request field; the last four are JSON strings
+FIELD_VALUES = ("true", "[]", "{}", "null", '"1e400"', '"NaN"', '""', '"a\\u0000"')
+# a categorical field takes any non-empty string, an unseen one included
+CATEGORY_TEXT = ('"1e400"', '"NaN"', '"a\\u0000"')
+REQUEST_FIELDS = [c.name for c in MOVIE_SCHEMA if c.role == FEATURE] + ["model"]
+
+
+def test_odd_request_field_exits_zero_or_three(tmp_path):
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    classes = doc["pipeline"]["encoder"]["classes"]
+    request = {name: values[0] for name, values in classes.items()}
+    request |= {c.name: 1.0 for c in MOVIE_SCHEMA if c.role == FEATURE and c.kind == NUMERIC}
+    request["model"] = doc["model_kind"]
+    req_path = tmp_path / "req.json"
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        field=st.sampled_from(REQUEST_FIELDS),
+        value=st.sampled_from(FIELD_VALUES + ("<BOM>",)),
+    )
+    def check(field, value):
+        if value == "<BOM>":
+            req_path.write_text(json.dumps(request), encoding="utf-8-sig")
+            expected = 0
+        else:
+            text = json.dumps(request | {field: "@"}).replace('"@"', value)
+            req_path.write_text(text, encoding="utf-8")
+            categorical = field in classes and value in CATEGORY_TEXT
+            expected = 0 if categorical else 3
+        argv = ["predict", "--artifact", str(GOLDEN), "--input", str(req_path)]
+        assert run_quietly(argv) == expected, (field, value)
 
     check()

@@ -7,12 +7,10 @@ from movierev.dataset import CATEGORICAL, FEATURE, NUMERIC, TARGET, ColumnSpec, 
 from movierev.errors import DomainError, SchemaMismatch
 from movierev.preprocess import (
     EncoderMap,
-    apply_scaler,
     encode_table,
     expm1_inverse,
     fit_encoders,
     fit_pipeline,
-    fit_scaler,
     log1p_transform,
     transform,
     transform_with_warnings,
@@ -70,77 +68,79 @@ class TestEncoders:
     def test_encode_lookup(self):
         t = make_table(["b", "a", "b"], [1, 2, 3], [4, 5, 6])
         enc = fit_encoders(t)
-        encoded, warnings = encode_table(t, enc)
+        encoded, warnings = encode_table(t, enc, ["rating", "budget"])
         assert warnings == []
-        assert list(encoded.column("rating")) == [1.0, 0.0, 1.0]
-        assert list(encoded.column("budget")) == [1.0, 2.0, 3.0]
-        assert all(c.kind == NUMERIC for c in encoded.schema)
+        assert encoded.dtype == np.float64
+        assert encoded[:, 0].tolist() == [1.0, 0.0, 1.0]
+        assert encoded[:, 1].tolist() == [1.0, 2.0, 3.0]
+        # one column per listed name, in the order given
+        reordered, _ = encode_table(t, enc, ["budget", "rating"])
+        assert np.array_equal(reordered, encoded[:, ::-1])
 
     def test_unseen_category_gets_sentinel_and_warning(self):
         fit_t = make_table(["a", "b"], [1, 2], [3, 4])
         enc = fit_encoders(fit_t)
         new_t = make_table(["zz", "a"], [1, 2], [3, 4])
-        encoded, warnings = encode_table(new_t, enc)
-        assert encoded.column("rating")[0] == 2.0  # k = 2 known classes
+        encoded, warnings = encode_table(new_t, enc, ["rating"])
+        assert encoded[0, 0] == 2.0  # k = 2 known classes
         assert warnings == [("rating", "zz")]
 
     def test_round_trip_known_codes(self):
         t = make_table(["x", "y", "z", "y"], range(4), range(4))
         enc = fit_encoders(t)
-        encoded, _ = encode_table(t, enc)
-        decoded = [enc.decode("rating", int(c)) for c in encoded.column("rating")]
+        encoded, _ = encode_table(t, enc, ["rating"])
+        decoded = [enc.decode("rating", int(c)) for c in encoded[:, 0]]
         assert decoded == ["x", "y", "z", "y"]
+
+
+def fit_scaled(t):
+    """A pipeline that standardizes ``t`` without logging budget or gross."""
+    return fit_pipeline(t, scale=True, log_money=False)
 
 
 class TestScaler:
     def test_mean_and_population_std(self):
         t = make_table(["a"] * 3, [1.0, 2.0, 3.0], [0, 0, 1])
-        enc, _ = encode_table(t, fit_encoders(t))
-        params = fit_scaler(enc, ["budget"])
+        params = fit_scaled(t).scaler
         assert params.means["budget"] == 2.0
         # oracle: sqrt(((1-2)^2 + 0 + (3-2)^2) / 3)
         assert params.stds["budget"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
     def test_overflowing_squares_give_a_finite_std(self):
         t = make_table(["a"] * 3, [1e308, 0.0, 0.0], [0, 0, 1])
-        with np.errstate(over="ignore"):
-            params = fit_scaler(t, ["budget"])
+        # the overflow is handled, so numpy must not report it
+        with np.errstate(all="raise"):
+            params = fit_scaled(t).scaler
         # oracle: 1e308 * population std of [1, 0, 0] = 1e308 * sqrt(2) / 3
         assert params.stds["budget"] == pytest.approx(1e308 * math.sqrt(2.0) / 3.0)
 
     def test_constant_and_singleton_columns(self):
         t = make_table(["a", "a"], [5.0, 5.0], [0, 1])
-        enc, _ = encode_table(t, fit_encoders(t))
-        params = fit_scaler(enc, ["budget"])
+        params = fit_scaled(t).scaler
         assert params.means["budget"] == 5.0
         assert params.stds["budget"] == 0.0
         one = make_table(["a"], [7.0], [0])
-        enc1, _ = encode_table(one, fit_encoders(one))
-        p1 = fit_scaler(enc1, ["budget"])
+        p1 = fit_scaled(one).scaler
         assert (p1.means["budget"], p1.stds["budget"]) == (7.0, 0.0)
 
-    def test_apply_scaler_values(self):
+    def test_scaled_values(self):
         t = make_table(["a"] * 3, [1.0, 2.0, 3.0], [0, 0, 1])
-        enc, _ = encode_table(t, fit_encoders(t))
-        params = fit_scaler(enc, ["budget"])
-        scaled = apply_scaler(enc, params)
+        X, _ = transform(fit_scaled(t), t)
         # oracle: (x - 2) / sqrt(2/3)
         expected = (np.array([1.0, 2.0, 3.0]) - 2.0) / math.sqrt(2.0 / 3.0)
-        assert np.allclose(scaled.column("budget"), expected, atol=1e-12)
-        assert scaled.column("budget")[0] == pytest.approx(-1.224745, abs=1e-6)
+        assert np.allclose(X[:, 1], expected, atol=1e-12)
+        assert X[0, 1] == pytest.approx(-1.224745, abs=1e-6)
 
     def test_zero_variance_column_becomes_zeros(self):
         t = make_table(["a", "a"], [5.0, 5.0], [0, 1])
-        enc, _ = encode_table(t, fit_encoders(t))
-        scaled = apply_scaler(enc, fit_scaler(enc, ["budget"]))
-        assert list(scaled.column("budget")) == [0.0, 0.0]
+        X, _ = transform(fit_scaled(t), t)
+        assert X[:, 1].tolist() == [0.0, 0.0]
 
     def test_standardized_column_has_unit_moments(self):
         rs = np.random.RandomState(0)
         t = make_table(["a"] * 50, rs.rand(50) * 100, rs.rand(50))
-        enc, _ = encode_table(t, fit_encoders(t))
-        scaled = apply_scaler(enc, fit_scaler(enc, ["budget"]))
-        col = np.asarray(scaled.column("budget"))
+        X, _ = transform(fit_scaled(t), t)
+        col = X[:, 1]
         assert abs(col.mean()) < 1e-9
         assert abs(np.sqrt(np.mean((col - col.mean()) ** 2)) - 1.0) < 1e-9
 
