@@ -15,7 +15,7 @@ import numpy as np
 
 from . import preprocess
 from .dataset import CATEGORICAL, FEATURE, NUMERIC, DataTable
-from .errors import BadBins, ZeroVariance
+from .errors import BadBins, TooFewRows, ZeroVariance
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,13 @@ def summarize(table: DataTable) -> SummaryStats:
         if c.kind != NUMERIC:
             continue
         col = np.asarray(table.column(c.name), dtype=np.float64)
-        q1, med, q3 = np.quantile(col, [0.25, 0.5, 0.75])
+        mean, std = preprocess.mean_and_std(col)
+        s, e = preprocess.scaled(col)
+        q1, med, q3 = np.ldexp(np.quantile(s, [0.25, 0.5, 0.75]), e)
         out[c.name] = ColumnStats(
-            mean=float(np.mean(col)),
+            mean=mean,
             median=float(med),
-            stddev=preprocess.population_std(col, np.mean(col)),
+            stddev=std,
             min=float(np.min(col)),
             max=float(np.max(col)),
             q1=float(q1),
@@ -73,21 +75,15 @@ def pearson_r(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.size < 2:
         raise ValueError("pearson_r needs two equal-length arrays of size >= 2")
+    # r is scale-free, so the scaled columns give it without scaling back
+    x, y = preprocess.scaled(x)[0], preprocess.scaled(y)[0]
     dx = x - np.mean(x)
     dy = y - np.mean(y)
-    with np.errstate(over="ignore"):
-        sxx = float(np.sum(dx * dx))
-        syy = float(np.sum(dy * dy))
+    sxx = float(np.sum(dx * dx))
+    syy = float(np.sum(dy * dy))
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation is undefined for a constant array")
-    norm = math.sqrt(sxx * syy)
-    if not math.isfinite(norm):
-        # the squares overflowed; r is the same for the deviations divided
-        # by their largest magnitudes, whose squares stay in range
-        dx = dx / np.max(np.abs(dx))
-        dy = dy / np.max(np.abs(dy))
-        norm = math.sqrt(float(np.sum(dx * dx)) * float(np.sum(dy * dy)))
-    r = float(np.sum(dx * dy)) / norm
+    r = float(np.sum(dx * dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
 
@@ -97,7 +93,7 @@ def f_regression_score(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size < 3:
-        raise ValueError("f_regression_score needs n >= 3")
+        raise TooFewRows("f_regression_score needs n >= 3")
     try:
         r = pearson_r(x, y)
     except ZeroVariance:

@@ -312,7 +312,7 @@ def cmd_select_features(args) -> int:
     print(f"wrote {len(table.entries)} feature scores to {args.out}")
     if args.min_score is not None:
         kept = analysis.threshold_scores(table, args.min_score)
-        thresh_path = args.out.rsplit(".", 1)[0] + f"_over_{args.min_score:g}.csv"
+        thresh_path = os.path.splitext(args.out)[0] + f"_over_{args.min_score:g}.csv"
         _write_lines(thresh_path, rows(kept))
         print(f"{len(kept.entries)} features score above {args.min_score:g} -> {thresh_path}")
         for name, score in kept.entries:

@@ -54,6 +54,11 @@ class DegenerateSplit(DataError):
     """A requested partition would leave one side empty."""
 
 
+class TooFewRows(DataError, ValueError):
+    """Too few rows for a least-squares fit, an R-squared or an F score.
+    Also a ValueError, so callers that catch ValueError still see it."""
+
+
 # preprocess ---------------------------------------------------------------
 
 class DomainError(DataError):

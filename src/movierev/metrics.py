@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllExcluded, ConstantTarget, DomainError, NonFiniteResult
+from .errors import AllExcluded, ConstantTarget, DomainError, NonFiniteResult, TooFewRows
 
 MAPE_ZERO_GUARD = 1e-8
 
@@ -59,7 +59,7 @@ def r2(y, yhat) -> float:
     """1 - SSres/SStot. Requires non-constant actuals."""
     y, yhat = _pair(y, yhat)
     if y.size < 2:
-        raise ValueError("r2 needs at least 2 points")
+        raise TooFewRows("r2 needs at least 2 points")
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     if ss_tot == 0.0:
         raise ConstantTarget("actuals have zero variance")

@@ -36,7 +36,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteResult, NonFiniteSplit, SingularAfterRidge
+from .errors import (
+    DimensionMismatch,
+    NonFiniteResult,
+    NonFiniteSplit,
+    SingularAfterRidge,
+    TooFewRows,
+)
 from .metrics import r2 as _r2_score
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -528,7 +534,7 @@ def fit_ols(X, y) -> LinearModel:
     y = _as_vector(y, X.shape[0])
     n, p = X.shape
     if n < p + 1:
-        raise ValueError(f"need at least {p + 1} rows to fit {p} coefficients")
+        raise TooFewRows(f"need at least {p + 1} rows to fit {p} coefficients")
     A = np.column_stack([X, np.ones(n)])
     G = A.T @ A
     b = A.T @ y

@@ -106,17 +106,22 @@ def encode_table(
     return matrix, warnings
 
 
-def population_std(col: np.ndarray, mean: float) -> float:
-    """sqrt(mean((col - mean)**2)), the population (1/n) convention. When
-    the squares overflow, the deviations are divided by their largest
-    magnitude first and the root is scaled back."""
-    d = col - mean
-    with np.errstate(over="ignore"):
-        std = float(np.sqrt(np.mean(d**2)))
-    if not math.isfinite(std):
-        top = float(np.max(np.abs(d)))
-        std = top * float(np.sqrt(np.mean((d / top) ** 2)))
-    return std
+def scaled(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """(col * 2**-e, e), with e the binary exponent of max|col|, so every
+    scaled cell lies in (-1, 1). Sums, squares and quantiles of the scaled
+    column cannot overflow, and since scaling by a power of two is exact,
+    a statistic computed on it and scaled back with ``np.ldexp(stat, e)``
+    has the bits of the plain expression wherever that stays in range."""
+    e = math.frexp(float(np.max(np.abs(col))))[1]
+    return np.ldexp(col, -e), e
+
+
+def mean_and_std(col: np.ndarray) -> tuple[float, float]:
+    """Mean and population (1/n) standard deviation of a column."""
+    s, e = scaled(col)
+    mean = np.mean(s)
+    std = np.sqrt(np.mean((s - mean) ** 2))
+    return float(np.ldexp(mean, e)), float(np.ldexp(std, e))
 
 
 def log1p_transform(values) -> np.ndarray:
@@ -148,8 +153,7 @@ def fit_pipeline(table: DataTable, scale: bool = True, log_money: bool = True) -
     if scale:
         names = [c.name for c in table.schema if c.role == FEATURE]
         matrix, _ = _encode_log(table, encoder, names, log_money)
-        means = [float(np.mean(col)) for col in matrix.T]
-        stds = [population_std(col, m) for col, m in zip(matrix.T, means)]
+        means, stds = zip(*(mean_and_std(col) for col in matrix.T))
         scaler = ScalerParams(dict(zip(names, means)), dict(zip(names, stds)))
     return Pipeline(
         encoder=encoder,

@@ -14,6 +14,7 @@ from movierev.analysis import (
     threshold_scores,
 )
 from movierev.errors import BadBins, ZeroVariance
+from movierev.preprocess import fit_pipeline
 from tests.conftest import tiny_table
 
 
@@ -54,6 +55,14 @@ class TestSummarize:
         scaled = np.array(v) / 1e292
         assert s.stddev == pytest.approx(1e292 * np.sqrt(np.mean((scaled - scaled.mean()) ** 2)))
 
+    def test_opposite_extremes_give_finite_quartiles(self):
+        """The plain interpolation 1e308 - (-1e308) overflows: the median,
+        q1 and q3 were -inf, inf and -inf."""
+        with np.errstate(all="raise"):
+            s = summarize(tiny_table({"v": [-1e308, 1e308], "y": [0.0, 0.0]})).columns["v"]
+        assert (s.mean, s.stddev) == (0.0, 1e308)
+        assert (s.q1, s.median, s.q3) == (-5e307, 0.0, 5e307)
+
     def test_ordering_chain_on_random_columns(self):
         rs = np.random.RandomState(4)
         for _ in range(25):
@@ -61,6 +70,55 @@ class TestSummarize:
             t = tiny_table({"v": rs.randn(n).tolist(), "y": [0.0] * n})
             s = summarize(t).columns["v"]
             assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
+
+
+def plain_std(col):
+    return np.sqrt(np.mean((col - np.mean(col)) ** 2))
+
+
+def plain_r(x, y):
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    r = float(np.sum(dx * dy)) / math.sqrt(float(np.sum(dx * dx)) * float(np.sum(dy * dy)))
+    return max(-1.0, min(1.0, r))
+
+
+def random_matrix(rs, low, high):
+    """C-ordered, so each column is a strided view; column j has the
+    magnitude 10**u with u uniform in [low, high]."""
+    n = rs.randint(2, 80)
+    return rs.randn(n, 4) * 10.0 ** rs.uniform(low, high, size=4)
+
+
+class TestPlainExpressionBits:
+    """Scaling a column by a power of two is exact, so the statistics
+    equal the plain numpy expressions bit for bit wherever those stay in
+    the normal range: the mean and the quartiles for magnitudes from
+    1e-200 to 1e200, the standard deviation while the squared deviations
+    do (1e-140 to 1e140), and r while sxx * syy does (1e-70 to 1e70)."""
+
+    @pytest.mark.parametrize("low, high, with_std", [(-200, 200, False), (-140, 140, True)])
+    def test_summary_and_scaler_statistics(self, low, high, with_std):
+        rs = np.random.RandomState(12)
+        for _ in range(40):
+            m = random_matrix(rs, low, high)
+            table = tiny_table({**{f"c{j}": m[:, j].tolist() for j in range(4)}, "y": [0.0] * len(m)})
+            stats = summarize(table).columns
+            scaler = fit_pipeline(table, scale=True, log_money=False).scaler
+            for j, col in enumerate(m.T):
+                s = stats[f"c{j}"]
+                mean = np.mean(col)
+                assert (s.mean, s.q1, s.median, s.q3) == (mean, *np.quantile(col, [0.25, 0.5, 0.75]))
+                assert scaler.means[f"c{j}"] == mean
+                if with_std:
+                    assert s.stddev == scaler.stds[f"c{j}"] == plain_std(col)
+
+    def test_pearson_r_on_strided_columns(self):
+        rs = np.random.RandomState(13)
+        for _ in range(40):
+            m = random_matrix(rs, -70, 70)
+            m[:, 1] += 0.5 * m[:, 0] * (m[:, 1].std() / m[:, 0].std())
+            for a, b in ((0, 1), (2, 3), (1, 2)):
+                assert pearson_r(m[:, a], m[:, b]) == plain_r(m[:, a], m[:, b])
 
 
 class TestPearson:

@@ -278,6 +278,22 @@ class TestTrain:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, rows", [("train", 12), ("evaluate", 1), ("select-features", 2)])
+def test_too_few_rows_exit_three(tmp_path, command, rows):
+    """A least-squares fit on 12 rows, an r2 of one row and an F score of
+    two rows raised a bare ValueError, reported as a usage error."""
+    data = tmp_path / "rows.csv"
+    write_csv(synthetic_movies(rows, seed=3), data)
+    argv = {
+        "train": ["--model", "linear", "--out", str(tmp_path / "m.mrp.json")],
+        "evaluate": ["--artifact", str(GOLDEN)],
+        "select-features": ["--out", str(tmp_path / "f.csv")],
+    }[command]
+    proc = run_python(["-m", "movierev.cli", command, "--data", str(data), *argv], timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("data error: "), proc.stderr
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize(
         "case", ["train --data", "train --out", "train --grid", "predict --input",
@@ -667,6 +683,45 @@ class TestSelectFeatures:
                 warnings.simplefilter("always")
                 assert run(*argv) == 0, argv
             assert [str(w.message) for w in caught] == [], argv
+
+    def test_two_huge_cells_keep_stats_and_scores_finite(self, tmp_path, capsys):
+        """Two votes cells of 1e308 overflow the sum behind the mean:
+        summarize wrote a votes mean of inf and a stddev of nan, and votes
+        ranked first with F = inf."""
+        table = synthetic_movies(60, seed=11)
+        votes = np.where(np.isin(np.arange(60), [2, 3]), 1e308, table.column("votes"))
+        data = edited_csv(tmp_path, table, votes=votes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("summarize", "--data", str(data), "--out-dir", str(tmp_path / "s")) == 0
+            for flags in ([], ["--expand"]):
+                out = tmp_path / "scores.csv"
+                assert run("select-features", "--data", str(data), "--out", str(out), *flags) == 0
+                scores = dict(line.split(",")[:2] for line in out.read_text().splitlines()[1:])
+                assert float(scores["votes"]) == pytest.approx(0.9029530324903083, rel=1e-12)
+            assert run("train", "--data", str(data), "--model", "linear",
+                       "--out", str(tmp_path / "m.mrp.json")) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        stats = (tmp_path / "s" / "summary_stats.csv").read_text().splitlines()
+        votes_row = next(line for line in stats if line.startswith("votes,"))
+        values = [float(v) for v in votes_row.split(",")[1:]]
+        assert all(math.isfinite(v) for v in values)
+        assert values[0] == pytest.approx(1e308 / 30, rel=1e-15)  # mean
+        assert values[2] == pytest.approx(1.7950549357115015e307, rel=1e-15)  # stddev
+
+    def test_threshold_file_beside_a_dotted_directory(self, tmp_path, movies_csv, monkeypatch):
+        """The threshold path was cut at the last dot, so --out
+        results.v2/fscores wrote results_over_1.csv into the working
+        directory."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results.v2").mkdir()
+        argv = ["--data", str(movies_csv), "--out", "results.v2/fscores", "--min-score", "1"]
+        assert run("select-features", *argv) == 0
+        assert sorted(p.name for p in (tmp_path / "results.v2").iterdir()) == [
+            "fscores", "fscores_over_1.csv"
+        ]
+        assert not (tmp_path / "results_over_1.csv").exists()
 
     def test_carriage_return_in_category_stays_in_its_cell(self, tmp_path, movies_table):
         """A country holding a carriage return split its row in two."""

@@ -1,13 +1,14 @@
 """Property test of the CSV reader and the commands that read CSVs.
 
-A small synthetic CSV with one cell replaced by odd text (empty, a
-missing marker, non-finite or huge numbers, a stray quote, a NUL byte)
-must be trained on, evaluated, summarized and scored, or refused with a
-documented exit code: ``cli.main`` returns 0, 2, 3, 4 or 5 and never
-raises. A non-finite number in a numeric cell is a data error (exit 3)
-for every command. A command that exits 0 writes only finite numbers,
-also when a cell holds 1e308, save the F score +inf that
-``analysis.f_regression_score`` gives a feature whose r**2 rounds to 1.
+A small synthetic CSV with one cell, or two cells of one column,
+replaced by odd text (empty, a missing marker, non-finite or huge
+numbers, a stray quote, a NUL byte) must be trained on, evaluated,
+summarized and scored, or refused with a documented exit code:
+``cli.main`` returns 0, 2, 3, 4 or 5 and never raises. A non-finite
+number in a numeric cell is a data error (exit 3) for every command. A
+command that exits 0 writes only finite numbers, also when cells hold
+±1e308, save the F score +inf that ``analysis.f_regression_score``
+gives a feature whose r**2 rounds to 1.
 
 A ``predict`` request file for the golden artifact with one field
 replaced by an odd JSON value, or with a leading byte-order mark, is
@@ -32,7 +33,8 @@ from movierev.synthetic import synthetic_movies
 
 ROWS = 30
 CELLS = (
-    "", "NA", "inf", "-Infinity", "1e400", "1e308", "-1", "0", "x", '"1,000"', '"', "a\x00",
+    "", "NA", "inf", "-Infinity", "1e400", "1e308", "-1e308", "-1", "0", "x", '"1,000"', '"',
+    "a\x00",
 )
 PLACEHOLDER = "@cell@"
 EXIT_CODES = (0, 2, 3, 4, 5)
@@ -57,12 +59,13 @@ def workdir(tmp_path_factory):
     return path
 
 
-def with_cell(clean_csv, row: int, column: int, text: str) -> str:
-    """The CSV text with the cell at (row, column) replaced by the raw
-    ``text``; row 0 is the header."""
+def with_cells(clean_csv, rows_replaced, column: int, text: str) -> str:
+    """The CSV text with the cells at (row, column), for each listed row,
+    replaced by the raw ``text``; row 0 is the header."""
     with open(clean_csv, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    rows[row][column] = PLACEHOLDER
+    for row in rows_replaced:
+        rows[row][column] = PLACEHOLDER
     out = io.StringIO()
     csv.writer(out).writerows(rows)
     return out.getvalue().replace(PLACEHOLDER, text)
@@ -121,10 +124,12 @@ def test_one_odd_cell_exits_with_a_documented_code(workdir):
         row=st.integers(0, ROWS),
         column=st.integers(0, len(MOVIE_SCHEMA) - 1),
         text=st.sampled_from(CELLS),
+        second=st.none() | st.integers(1, ROWS),
     )
-    def check(row, column, text):
-        data.write_text(with_cell(workdir / "clean.csv", row, column, text), encoding="utf-8")
-        data_error = row > 0 and MOVIE_SCHEMA[column].kind == NUMERIC and text in NON_FINITE
+    def check(row, column, text, second):
+        rows = [row] if second is None else [row, second]
+        data.write_text(with_cells(workdir / "clean.csv", rows, column, text), encoding="utf-8")
+        data_error = max(rows) > 0 and MOVIE_SCHEMA[column].kind == NUMERIC and text in NON_FINITE
         for argv, written in commands:
             code = run_quietly(argv)
             assert (code == 3) if data_error else (code in EXIT_CODES), argv
