@@ -69,39 +69,60 @@ def summarize(table: DataTable) -> SummaryStats:
     return SummaryStats(out)
 
 
-def pearson_r(x, y) -> float:
-    """Product-moment correlation in [-1, 1]."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 2:
-        raise ValueError("pearson_r needs two equal-length arrays of size >= 2")
-    # r is scale-free, so the scaled columns give it without scaling back
-    x, y = preprocess.scaled(x)[0], preprocess.scaled(y)[0]
-    dx = x - np.mean(x)
-    dy = y - np.mean(y)
-    sxx = float(np.sum(dx * dx))
-    syy = float(np.sum(dy * dy))
+def _centred(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``v`` scaled by a power of two and centred, with its sum of squares:
+    all that r needs of one side. r is scale-free, so nothing is scaled
+    back."""
+    s = preprocess.scaled(v)[0]
+    d = s - np.mean(s)
+    return d, float(np.sum(d * d))
+
+
+def _r(x, y) -> float:
+    """r of two sides prepared by :func:`_centred`."""
+    (dx, sxx), (dy, syy) = x, y
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("correlation is undefined for a constant array")
     r = float(np.sum(dx * dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
 
+def _vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.size < 2:
+        raise ValueError("pearson_r needs two equal-length arrays of size >= 2")
+    return x, y
+
+
+def pearson_r(x, y) -> float:
+    """Product-moment correlation in [-1, 1]."""
+    x, y = _vectors(x, y)
+    return _r(_centred(x), _centred(y))
+
+
+def _f_scores(columns, y) -> list[float]:
+    """The F statistic of each column against ``y``, which is checked
+    against the first column and prepared by :func:`_centred` once."""
+    columns = [np.asarray(x, dtype=np.float64) for x in columns]
+    if columns[0].size < 3:
+        raise TooFewRows("f_regression_score needs n >= 3")
+    target = _centred(_vectors(columns[0], y)[1])
+    scores = []
+    for x in columns:
+        try:
+            r = _r(_centred(x), target)
+        except ZeroVariance:
+            r = 0.0
+        r2 = r * r
+        scores.append(math.inf if r2 >= 1.0 else r2 / (1.0 - r2) * (x.size - 2))
+    return scores
+
+
 def f_regression_score(x, y) -> float:
     """Univariate F statistic of x against y; 0 when either side is
     constant, +inf at perfect correlation."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size < 3:
-        raise TooFewRows("f_regression_score needs n >= 3")
-    try:
-        r = pearson_r(x, y)
-    except ZeroVariance:
-        return 0.0
-    r2 = r * r
-    if r2 >= 1.0:
-        return math.inf
-    return r2 / (1.0 - r2) * (x.size - 2)
+    return _f_scores([x], y)[0]
 
 
 def select_k_best(features: np.ndarray, names: list[str], y, k: int) -> FScoreTable:
@@ -115,9 +136,7 @@ def select_k_best(features: np.ndarray, names: list[str], y, k: int) -> FScoreTa
         raise ValueError("feature matrix and name list disagree")
     if not 1 <= k <= len(names):
         raise ValueError(f"k must be in 1..{len(names)}")
-    scores = [
-        (name, f_regression_score(features[:, j], y)) for j, name in enumerate(names)
-    ]
+    scores = list(zip(names, _f_scores((features[:, j] for j in range(len(names))), y)))
     scores.sort(key=lambda item: (-item[1], item[0]))
     return FScoreTable(entries=tuple(scores), k_selected=k)
 

@@ -133,6 +133,7 @@ class CorruptArtifact(ArtifactError):
         detail = f": {reason}" if reason else ""
         super().__init__(f"corrupt artifact at {field_path!r}{detail}")
         self.field_path = field_path
+        self.reason = reason
 
 
 class SchemaHashMismatch(ArtifactError):

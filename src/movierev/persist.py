@@ -35,6 +35,7 @@ from .models import (
     Leaf,
     LinearModel,
     Split,
+    gc_paused,
 )
 from .preprocess import EncoderMap, Pipeline, ScalerParams
 
@@ -146,6 +147,7 @@ def _encode_pipeline(p: Pipeline) -> dict:
     }
 
 
+@gc_paused()
 def dumps_canonical(artifact: ModelArtifact) -> str:
     kind = artifact.model_kind
     if kind not in _V1_KIND:
@@ -200,7 +202,7 @@ def _check(value, kinds, path, key):
     beyond the double range, such as ``1e400``, as infinity, and ``float``
     refuses such an integer. A bool is an ``int`` to Python, so it passes
     only where ``kinds`` is ``bool``."""
-    if value.__class__ is not kinds:  # the exact class skips this: it runs for every tree node
+    if value.__class__ is not kinds:  # the exact class skips this: it runs for every list item
         wanted = _NUMBER if kinds is float else kinds
         if not isinstance(value, wanted) or (isinstance(value, bool) and kinds is not bool):
             raise CorruptArtifact(_where(path, key), f"expected {wanted}")
@@ -247,39 +249,60 @@ def _expect_choice(mapping, key, choices, path):
     return value
 
 
-def _decode_tree(doc, path, features):
-    """Decode one tagged tree node; ``features`` is ``range(n_features)``
-    of the pipeline schema, which every split's ``f`` must fall in."""
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise CorruptArtifact(path, "tree node must have exactly one tag")
-    if "leaf" in doc:
-        here = f"{path}.leaf"
-        body = doc["leaf"]
-        value = _expect(body, "v", float, here)
-        n = _expect(body, "n", int, here)
-        if n < 0:
-            raise CorruptArtifact(f"{here}.n", f"negative row count {n}")
-        return Leaf(value=value, n_samples=n)
-    if "split" in doc:
-        here = f"{path}.split"
-        body = doc["split"]
-        feature = _expect(body, "f", int, here)
-        if feature not in features:
-            raise CorruptArtifact(
-                f"{here}.f", f"feature index {feature} outside [0, {len(features)})"
+def _decode_node(doc, n_features, step):
+    """Decode one tagged tree node and its subtree. Every split's ``f``
+    must fall in ``range(n_features)`` of the pipeline schema. ``step`` is
+    the node's path: the whole path at a root, ``.split.l`` or
+    ``.split.r`` below it.
+
+    A node whose fields have their exact JSON classes and legal values is
+    built at once, and no path is built for it. Any other node is checked
+    field by field at paths relative to itself: that takes a JSON integer
+    in a float field, or raises ``CorruptArtifact``, which each level it
+    passes prefixes with its step."""
+    try:
+        if doc.__class__ is dict and len(doc) == 1:
+            body = doc.get("leaf")
+            if body.__class__ is dict:
+                v, n = body.get("v"), body.get("n")
+                if v.__class__ is float and math.isfinite(v) and n.__class__ is int and n >= 0:
+                    return Leaf(v, n)
+            body = doc.get("split")
+            if body.__class__ is dict:
+                f, t, left, right = body.get("f"), body.get("t"), body.get("l"), body.get("r")
+                if (
+                    f.__class__ is int and 0 <= f < n_features
+                    and t.__class__ is float and math.isfinite(t)
+                    and left.__class__ is dict and right.__class__ is dict
+                ):
+                    left = _decode_node(left, n_features, ".split.l")
+                    return Split(f, t, left, _decode_node(right, n_features, ".split.r"))
+        if not isinstance(doc, dict) or len(doc) != 1:
+            raise CorruptArtifact("", "tree node must have exactly one tag")
+        if "leaf" in doc:
+            value = _expect(doc["leaf"], "v", float, ".leaf")
+            n = _expect(doc["leaf"], "n", int, ".leaf")
+            if n < 0:
+                raise CorruptArtifact(".leaf.n", f"negative row count {n}")
+            return Leaf(value=value, n_samples=n)
+        if "split" in doc:
+            body = doc["split"]
+            f = _expect(body, "f", int, ".split")
+            if f not in range(n_features):
+                raise CorruptArtifact(".split.f", f"feature index {f} outside [0, {n_features})")
+            return Split(
+                feature_index=f,
+                threshold=_expect(body, "t", float, ".split"),
+                left=_decode_node(_expect(body, "l", dict, ".split"), n_features, ".split.l"),
+                right=_decode_node(_expect(body, "r", dict, ".split"), n_features, ".split.r"),
             )
-        return Split(
-            feature_index=feature,
-            threshold=_expect(body, "t", float, here),
-            left=_decode_tree(_expect(body, "l", dict, here), f"{here}.l", features),
-            right=_decode_tree(_expect(body, "r", dict, here), f"{here}.r", features),
-        )
-    raise CorruptArtifact(path, "unknown tree node tag")
+        raise CorruptArtifact("", "unknown tree node tag")
+    except CorruptArtifact as fault:
+        raise CorruptArtifact(step + fault.field_path, fault.reason) from None
 
 
 def _decode_model(kind, payload, n_features):
     path = "model_payload"
-    features = range(n_features)
     if kind == KIND_LINEAR:
         coeffs = _expect_items(payload, "coefficients", list, float, path)
         if len(coeffs) != n_features:
@@ -292,11 +315,11 @@ def _decode_model(kind, payload, n_features):
             used_ridge_fallback=_expect(payload, "used_ridge_fallback", bool, path),
         )
     if kind == KIND_TREE:
-        return _decode_tree(_expect(payload, "tree", dict, path), f"{path}.tree", features)
+        return _decode_node(_expect(payload, "tree", dict, path), n_features, f"{path}.tree")
     docs = _expect(payload, "trees", list, path)
     if not docs:
         raise CorruptArtifact(f"{path}.trees", "an ensemble needs at least one tree")
-    trees = [_decode_tree(doc, f"{path}.trees[{i}]", features) for i, doc in enumerate(docs)]
+    trees = [_decode_node(doc, n_features, f"{path}.trees[{i}]") for i, doc in enumerate(docs)]
     if kind in (KIND_BAGGING, KIND_FOREST):
         seeds = _expect_items(payload, "per_tree_seeds", list, int, path)
         return EnsembleModel(kind=kind, trees=trees, per_tree_seeds=seeds)
@@ -349,6 +372,7 @@ def _reject_constant(name):
     raise CorruptArtifact("<document>", f"non-finite number {name}")
 
 
+@gc_paused()
 def load(path) -> ModelArtifact:
     """Read and validate an artifact; the inverse of :func:`save`."""
     try:

@@ -1,0 +1,100 @@
+"""SHA-256 digests of what the CLI writes on two fixed synthetic tables.
+
+For each of the 200-row ``synthetic_movies`` tables on seeds 101 and 7,
+the commands below run in-process through ``movierev.cli.main``: ``train``
+for every kind, linear with ``--no-scale --no-log-money``, gbm and xgb
+with a grid file, xgb with ``--track-r2``; ``evaluate --out`` and
+``predict`` on each artifact; ``summarize``; and two ``select-features``
+runs. Every file they write, and the stdout, stderr and exit code of each
+command, is hashed, with the working directory replaced by ``<dir>``.
+
+``tests/test_output_digests.py`` compares the digests with the committed
+manifest ``tests/data/output_digests.json``. The manifest pins numpy 2.4.6
+on x86-64: BLAS (``A.T @ A`` in ``fit_ols``) and ``np.quantile`` may give
+other bits elsewhere. Regenerate it only in a change that moves output
+bytes on purpose, and list every moved digest in CHANGES.md:
+
+    PYTHONPATH=src python tests/output_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import tempfile
+
+from movierev.cli import main
+from movierev.dataset import FEATURE, write_csv
+from movierev.synthetic import synthetic_movies
+
+MANIFEST = pathlib.Path(__file__).resolve().parent / "data" / "output_digests.json"
+SEEDS = (101, 7)
+ROWS = 200
+KINDS = ("linear", "tree", "bagging", "forest", "gbm", "xgb")
+GRID = {"n_estimators": [5, 10], "max_depth": [2, 3]}
+
+
+def commands(d: pathlib.Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of every command run on the table in ``d``, in order."""
+    data = str(d / "movies.csv")
+    trains = [(kind, ["--model", kind]) for kind in KINDS] + [
+        ("linear-raw", ["--model", "linear", "--no-scale", "--no-log-money"]),
+        ("gbm-grid", ["--model", "gbm", "--grid", str(d / "grid.json")]),
+        ("xgb-grid", ["--model", "xgb", "--grid", str(d / "grid.json")]),
+        ("xgb-r2", ["--model", "xgb", "--track-r2", str(d / "xgb-r2.curve.csv")]),
+    ]
+    out = []
+    for name, args in trains:
+        out.append((f"train-{name}", ["train", "--data", data, *args,
+                                      "--out", str(d / f"{name}.mrp.json")]))
+    for name, args in trains:
+        artifact = str(d / f"{name}.mrp.json")
+        out.append((f"evaluate-{name}", ["evaluate", "--artifact", artifact, "--data", data,
+                                         "--out", str(d / f"{name}.eval")]))
+        out.append((f"predict-{name}", ["predict", "--artifact", artifact,
+                                        "--input", str(d / f"{args[1]}.request.json")]))
+    out.append(("summarize", ["summarize", "--data", data, "--out-dir", str(d / "summary")]))
+    out.append(("select-features", ["select-features", "--data", data, "--min-score", "1",
+                                    "--out", str(d / "fscores.csv")]))
+    out.append(("select-features-expand", ["select-features", "--data", data, "--expand",
+                                           "--k", "5", "--out", str(d / "fscores-expand.csv")]))
+    return out
+
+
+def _digest(data: bytes, d: pathlib.Path) -> str:
+    return hashlib.sha256(data.replace(str(d).encode(), b"<dir>")).hexdigest()
+
+
+def digests(workdir: pathlib.Path) -> dict[str, str]:
+    """Every digest, keyed ``<seed>/<command>/<stream>`` and ``<seed>/<file>``."""
+    out = {}
+    for seed in SEEDS:
+        d = pathlib.Path(workdir) / str(seed)
+        d.mkdir(parents=True)
+        table = synthetic_movies(ROWS, seed=seed)
+        write_csv(table, d / "movies.csv")
+        (d / "grid.json").write_text(json.dumps(GRID))
+        # the first movie, asked of each kind's artifact
+        request = {c.name: table.column(c.name)[0] for c in table.schema if c.role == FEATURE}
+        for kind in KINDS:
+            (d / f"{kind}.request.json").write_text(json.dumps(request | {"model": kind}))
+        for name, argv in commands(d):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            out[f"{seed}/{name}/stdout"] = _digest(stdout.getvalue().encode(), d)
+            out[f"{seed}/{name}/stderr"] = _digest(stderr.getvalue().encode(), d)
+            out[f"{seed}/{name}/exit"] = str(code)
+        for path in sorted(p for p in d.rglob("*") if p.is_file()):
+            out[f"{seed}/{path.relative_to(d).as_posix()}"] = _digest(path.read_bytes(), d)
+    return out
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = digests(pathlib.Path(tmp))
+    MANIFEST.parent.mkdir(exist_ok=True)
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(manifest)} digests to {MANIFEST}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import gc
 import json
 import pathlib
 
@@ -430,3 +431,151 @@ def test_golden_artifact_round_trip():
     raw = golden.read_bytes()
     artifact = load(golden)
     assert dumps_canonical(artifact).encode("utf-8") == raw
+
+
+@pytest.fixture(scope="module")
+def deep_forest(movies_table):
+    """The JSON document of a 3-tree forest grown 8 levels deep, and the
+    matrix it was fitted on."""
+    pipeline = preprocess.fit_pipeline(movies_table, scale=False)
+    X, y = preprocess.transform(pipeline, movies_table)
+    forest = models.fit_random_forest(X, y, 3, models.TreeConfig(max_depth=8), 1)
+    return json.loads(dumps_canonical(make_artifact(pipeline, "forest", forest, seed=1))), X
+
+
+def deep_node(doc, tag):
+    """A node of ``trees[2]`` at least 3 levels deep that holds ``tag``,
+    and its field path: left, right, left, then right until ``tag``."""
+    node, where = doc["model_payload"]["trees"][2], "model_payload.trees[2]"
+    for side in "lrl":
+        node, where = node["split"][side], f"{where}.split.{side}"
+    while tag not in node:
+        node, where = node["split"]["r"], f"{where}.split.r"
+    return node, where
+
+
+def loaded_from_text(tmp_path, text):
+    path = tmp_path / "edited.mrp.json"
+    path.write_text(text)
+    return load(path)
+
+
+class TestTreeNodes:
+    """The reader's tree-node checks, on nodes deep in a later tree."""
+
+    def test_integers_in_float_fields_load_as_floats(self, deep_forest, tmp_path):
+        """Each split ``t`` and leaf ``v`` of ``trees[2]`` is made integral;
+        one copy spells them ``2.0``, the other ``2`` at every other depth."""
+        as_floats, X = deep_forest
+        as_floats = json.loads(json.dumps(as_floats))
+        as_ints = json.loads(json.dumps(as_floats))
+        stack = [(as_floats["model_payload"]["trees"][2], as_ints["model_payload"]["trees"][2], 0)]
+        changed = 0
+        while stack:
+            a, b, depth = stack.pop()
+            tag, key = ("split", "t") if "split" in a else ("leaf", "v")
+            a[tag][key] = float(round(a[tag][key]))
+            b[tag][key] = int(a[tag][key]) if depth % 2 == 0 else a[tag][key]
+            changed += depth % 2 == 0
+            if tag == "split":
+                stack += [(a[tag][s], b[tag][s], depth + 1) for s in "lr"]
+        assert changed > 10
+        fl = loaded_from_text(tmp_path, json.dumps(as_floats))
+        it = loaded_from_text(tmp_path, json.dumps(as_ints))
+        assert dumps_canonical(it) == dumps_canonical(fl)
+        assert np.array_equal(models.predict(it.model, X), models.predict(fl.model, X))
+        stack = [it.model.trees[2]]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, models.Split):
+                assert node.threshold.__class__ is float
+                stack += [node.left, node.right]
+            else:
+                assert node.value.__class__ is float
+
+    @pytest.mark.parametrize(
+        "tag, edit, suffix, reason",
+        [
+            ("split", lambda n: n["split"].pop("f"), ".split.f", "missing"),
+            ("split", lambda n: n["split"].update(f=True), ".split.f", "expected <class 'int'>"),
+            ("split", lambda n: n["split"].update(f=14), ".split.f",
+             "feature index 14 outside [0, 14)"),
+            ("split", lambda n: n["split"].update(f=-1), ".split.f",
+             "feature index -1 outside [0, 14)"),
+            ("split", lambda n: n["split"].update(t="x"), ".split.t",
+             "expected (<class 'int'>, <class 'float'>)"),
+            ("split", lambda n: n["split"].update(t="@"), ".split.t",
+             "number beyond the double range"),
+            ("split", lambda n: n["split"].update(l=[]), ".split.l", "expected <class 'dict'>"),
+            ("split", lambda n: n["split"].update(r=None), ".split.r",
+             "expected <class 'dict'>"),
+            ("split", lambda n: n.update(leaf={"v": 1.0, "n": 1}), "",
+             "tree node must have exactly one tag"),
+            ("split", lambda n: n.update(branch=n.pop("split")), "", "unknown tree node tag"),
+            ("split", lambda n: n.update(split=None), ".split.f", "missing"),
+            ("leaf", lambda n: n["leaf"].update(n=-1), ".leaf.n", "negative row count -1"),
+            ("leaf", lambda n: n["leaf"].update(v="@"), ".leaf.v",
+             "number beyond the double range"),
+            ("leaf", lambda n: n["leaf"].pop("n"), ".leaf.n", "missing"),
+        ],
+        ids=[
+            "f-missing", "f-bool", "f-too-large", "f-negative", "t-string", "t-1e400",
+            "l-list", "r-null", "two-tags", "unknown-tag", "split-null", "n-negative",
+            "v-1e400", "n-missing",
+        ],
+    )
+    def test_fault_deep_in_a_later_tree(self, deep_forest, tag, edit, suffix, reason, tmp_path):
+        doc = json.loads(json.dumps(deep_forest[0]))
+        node, where = deep_node(doc, tag)
+        assert where.count(".split.") >= 3
+        edit(node)
+        with pytest.raises(CorruptArtifact) as err:
+            loaded_from_text(tmp_path, json.dumps(doc).replace('"@"', "1e400"))
+        assert err.value.field_path == where + suffix
+        assert str(err.value) == f"corrupt artifact at {where + suffix!r}: {reason}"
+
+
+class TestCollectorState:
+    """Loading, encoding and fitting ensembles pause the cyclic garbage
+    collector and leave it as the caller had it."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+    def caller_gc(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_load_and_dumps(self, caller_gc, fitted, tmp_path, monkeypatch):
+        seen = []
+        for name in ("_decode_document", "_encode_model"):
+            original = getattr(persist, name)
+            monkeypatch.setattr(
+                persist, name,
+                lambda *a, original=original: seen.append(gc.isenabled()) or original(*a),
+            )
+        path = tmp_path / "model.mrp.json"
+        save(fitted[0], path)
+        assert gc.isenabled() is caller_gc
+        load(path)
+        assert gc.isenabled() is caller_gc
+        assert seen == [False, False]
+
+    def test_load_that_raises(self, caller_gc, fitted, tmp_path):
+        doc = json.loads(dumps_canonical(fitted[0]))
+        doc["model_payload"]["trees"][3]["split"]["f"] = "x"
+        with pytest.raises(CorruptArtifact):
+            loaded_from_text(tmp_path, json.dumps(doc))
+        assert gc.isenabled() is caller_gc
+
+    @pytest.mark.parametrize("kind", ["forest", "gbm"])
+    def test_fit_model(self, caller_gc, kind, movies_table, monkeypatch):
+        X, y = preprocess.transform(preprocess.fit_pipeline(movies_table), movies_table)
+        seen = []
+        grow = models._grow_tree
+        monkeypatch.setattr(
+            models, "_grow_tree", lambda *a, **k: seen.append(gc.isenabled()) or grow(*a, **k)
+        )
+        models.fit_model(kind, X, y, {"n_estimators": 3, "max_depth": 3}, seed=1)
+        assert gc.isenabled() is caller_gc
+        assert seen == [False] * 3
