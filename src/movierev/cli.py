@@ -6,11 +6,16 @@ seed; repeated runs write byte-identical files.
 
 Exit codes: 0 success, 2 usage, 3 data error, 4 model error,
 5 artifact error.
+
+The ``movierev`` command enters through :func:`run`, which turns the
+cyclic garbage collector off: a command builds large acyclic structures
+and exits. :func:`main` leaves the collector as its caller has it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -30,7 +35,7 @@ from .dataset import (
     parse_numeric_cell,
     train_test_split,
 )
-from .errors import ArtifactError, DataError, InvalidField, ModelError
+from .errors import ArtifactError, DataError, InvalidField, ModelError, NonFiniteResult
 
 # menu order and numbering for interactive prediction
 MODEL_MENU = (
@@ -235,12 +240,10 @@ def cmd_predict(args) -> int:
     for column, value in warnings:
         print(f"warning: unseen {column} value {value!r}", file=sys.stderr)
 
-    internal = models.predict(artifact.model, X)[0]
-    gross = (
-        float(preprocess.expm1_inverse([internal])[0])
-        if pipeline.log_target
-        else float(internal)
-    )
+    pred = models.predict(artifact.model, X)
+    gross = float((preprocess.expm1_inverse(pred) if pipeline.log_target else pred)[0])
+    if not np.isfinite(gross):
+        raise NonFiniteResult(f"predicted gross ({kind}) not finite")
     print(f"predicted gross ({kind}): {gross:,.2f}")
     return 0
 
@@ -418,5 +421,12 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """Entry point of the ``movierev`` command: :func:`main`, with the
+    cyclic garbage collector off for the rest of the process."""
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -107,8 +107,8 @@ class DimensionMismatch(ModelError):
 
 
 class NonFiniteResult(ModelError):
-    """A fitted solution or an evaluation metric overflowed to infinity or
-    became NaN; the targets or features are too large."""
+    """A fitted solution, a prediction or an evaluation metric overflowed
+    to infinity or became NaN; the targets or features are too large."""
 
 
 class NonFiniteSplit(ModelError):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllExcluded, ConstantTarget, DomainError, NonFiniteResult, TooFewRows
+from .preprocess import expm1_inverse
 
 MAPE_ZERO_GUARD = 1e-8
 
@@ -109,7 +110,7 @@ def eval_report(y, yhat, split_label: str, target_space: str) -> EvalReport:
     """
     y, yhat = _pair(y, yhat)
     if target_space == LOG_SPACE:
-        y_raw, yhat_raw = np.expm1(y), np.expm1(yhat)
+        y_raw, yhat_raw = expm1_inverse(y), expm1_inverse(yhat)
     elif target_space == RAW_SPACE:
         y_raw, yhat_raw = y, yhat
     else:

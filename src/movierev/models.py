@@ -30,8 +30,6 @@ fit is a pure function of (data, config, seed).
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -78,20 +76,6 @@ PARAM_TYPES = {
     "reg_lambda": numbers.Real,
     "reg_gamma": numbers.Real,
 }
-
-
-@contextlib.contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector, then restore the caller's state.
-    Fits and artifact reads and writes build many objects and no cycles,
-    and each full collection would walk all of them again."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 # --------------------------------------------------------------------------
@@ -348,7 +332,6 @@ def fit_cart(X, y, config: TreeConfig | None = None, rng_seed: int = 0) -> TreeN
     return _grow_tree(X, -y, config, 0.0, 0.0, False, rng)
 
 
-@gc_paused()
 def _fit_bootstrap_ensemble(kind, X, y, n_estimators, config, seed):
     X = _as_matrix(X)
     y = _as_vector(y, X.shape[0])
@@ -393,7 +376,6 @@ def _check_boost_config(config: TreeConfig) -> TreeConfig:
     return config
 
 
-@gc_paused()
 def _fit_boosting(kind, X, y, n_estimators, learning_rate, config, lam, gamma):
     X = _as_matrix(X)
     y = _as_vector(y, X.shape[0])

@@ -35,7 +35,6 @@ from .models import (
     Leaf,
     LinearModel,
     Split,
-    gc_paused,
 )
 from .preprocess import EncoderMap, Pipeline, ScalerParams
 
@@ -147,7 +146,6 @@ def _encode_pipeline(p: Pipeline) -> dict:
     }
 
 
-@gc_paused()
 def dumps_canonical(artifact: ModelArtifact) -> str:
     kind = artifact.model_kind
     if kind not in _V1_KIND:
@@ -372,7 +370,6 @@ def _reject_constant(name):
     raise CorruptArtifact("<document>", f"non-finite number {name}")
 
 
-@gc_paused()
 def load(path) -> ModelArtifact:
     """Read and validate an artifact; the inverse of :func:`save`."""
     try:

@@ -132,7 +132,9 @@ def log1p_transform(values) -> np.ndarray:
 
 
 def expm1_inverse(values) -> np.ndarray:
-    return np.expm1(np.asarray(values, dtype=np.float64))
+    # past exp's range this gives inf, silently: callers check finiteness
+    with np.errstate(over="ignore"):
+        return np.expm1(np.asarray(values, dtype=np.float64))
 
 
 def _encode_log(table: DataTable, encoder: EncoderMap, names: list[str], log_budget: bool):

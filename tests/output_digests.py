@@ -9,10 +9,12 @@ runs. Every file they write, and the stdout, stderr and exit code of each
 command, is hashed, with the working directory replaced by ``<dir>``.
 
 ``tests/test_output_digests.py`` compares the digests with the committed
-manifest ``tests/data/output_digests.json``. The manifest pins numpy 2.4.6
-on x86-64: BLAS (``A.T @ A`` in ``fit_ols``) and ``np.quantile`` may give
-other bits elsewhere. Regenerate it only in a change that moves output
-bytes on purpose, and list every moved digest in CHANGES.md:
+manifest ``tests/data/output_digests.json``, and runs three of the
+commands again as ``python -m movierev.cli`` processes against the same
+entries. The manifest pins numpy 2.4.6 on x86-64: BLAS (``A.T @ A`` in
+``fit_ols``) and ``np.quantile`` may give other bits elsewhere.
+Regenerate it only in a change that moves output bytes on purpose, and
+list every moved digest in CHANGES.md:
 
     PYTHONPATH=src python tests/output_digests.py
 """
@@ -67,10 +69,19 @@ def _digest(data: bytes, d: pathlib.Path) -> str:
     return hashlib.sha256(data.replace(str(d).encode(), b"<dir>")).hexdigest()
 
 
-def digests(workdir: pathlib.Path) -> dict[str, str]:
-    """Every digest, keyed ``<seed>/<command>/<stream>`` and ``<seed>/<file>``."""
+def in_process(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``main(argv)`` run in this interpreter."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def digests(workdir: pathlib.Path, seeds=SEEDS, names=None, run=in_process) -> dict[str, str]:
+    """Every digest, keyed ``<seed>/<command>/<stream>`` and ``<seed>/<file>``.
+    ``names``, when given, picks the commands to run; ``run`` runs one."""
     out = {}
-    for seed in SEEDS:
+    for seed in seeds:
         d = pathlib.Path(workdir) / str(seed)
         d.mkdir(parents=True)
         table = synthetic_movies(ROWS, seed=seed)
@@ -81,11 +92,11 @@ def digests(workdir: pathlib.Path) -> dict[str, str]:
         for kind in KINDS:
             (d / f"{kind}.request.json").write_text(json.dumps(request | {"model": kind}))
         for name, argv in commands(d):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
-            out[f"{seed}/{name}/stdout"] = _digest(stdout.getvalue().encode(), d)
-            out[f"{seed}/{name}/stderr"] = _digest(stderr.getvalue().encode(), d)
+            if names is not None and name not in names:
+                continue
+            code, stdout, stderr = run(argv)
+            out[f"{seed}/{name}/stdout"] = _digest(stdout.encode(), d)
+            out[f"{seed}/{name}/stderr"] = _digest(stderr.encode(), d)
             out[f"{seed}/{name}/exit"] = str(code)
         for path in sorted(p for p in d.rglob("*") if p.is_file()):
             out[f"{seed}/{path.relative_to(d).as_posix()}"] = _digest(path.read_bytes(), d)

@@ -294,6 +294,35 @@ def test_too_few_rows_exit_three(tmp_path, command, rows):
     assert proc.stderr.startswith("data error: "), proc.stderr
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["predict", "--input", "{d}/req.json"], "predicted gross (gbm) not finite"),
+    (["evaluate", "--data", "{d}/movies.csv"], "test msle not finite"),
+    (["evaluate", "--data", "{d}/movies.csv", "--raw-space-metrics"],
+     "test r2, mape_percent, msle, mse not finite"),
+], ids=["predict", "evaluate", "evaluate-raw-space"])
+def test_prediction_past_exp_range_exits_four(tmp_path, argv, err):
+    """The golden artifact with every leaf and the initial value at 1e6, a
+    legal artifact whose log-space predictions overflow ``expm1``.
+    ``predict`` printed "inf" and exited 0; both commands printed numpy's
+    overflow warning."""
+    doc = json.loads(GOLDEN.read_text())
+    payload = doc["model_payload"]
+    payload["init_value"] = 1e6
+    nodes = list(payload["trees"])
+    while nodes:
+        node = nodes.pop()
+        if "leaf" in node:
+            node["leaf"]["v"] = 1e6
+        else:
+            nodes += [node["split"]["l"], node["split"]["r"]]
+    (tmp_path / "huge.mrp.json").write_text(json.dumps(doc))
+    (tmp_path / "req.json").write_text(json.dumps(golden_request()))
+    write_csv(synthetic_movies(60, seed=3), tmp_path / "movies.csv")
+    argv = [a.format(d=tmp_path) for a in argv] + ["--artifact", str(tmp_path / "huge.mrp.json")]
+    proc = run_python(["-m", "movierev.cli", *argv], timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"model error: {err}\n")
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize(
         "case", ["train --data", "train --out", "train --grid", "predict --input",

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import pathlib
@@ -5,7 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from movierev import models, persist, preprocess
+from movierev import cli, models, persist, preprocess
+from movierev.dataset import FEATURE
 from movierev.errors import (
     ArtifactError,
     CorruptArtifact,
@@ -536,8 +538,10 @@ class TestTreeNodes:
 
 
 class TestCollectorState:
-    """Loading, encoding and fitting ensembles pause the cyclic garbage
-    collector and leave it as the caller had it."""
+    """The library leaves the cyclic garbage collector alone: saving,
+    loading, fitting ensembles and an in-process ``cli.main`` run with the
+    caller's collector state and leave it unchanged. Only ``cli.run``, the
+    entry point of the ``movierev`` command, turns the collector off."""
 
     @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
     def caller_gc(self, request):
@@ -546,36 +550,78 @@ class TestCollectorState:
         yield request.param
         (gc.enable if was else gc.disable)()
 
+    @staticmethod
+    def record(monkeypatch, owner, name, seen):
+        """Append ``gc.isenabled()`` to ``seen`` on each call of ``owner.name``."""
+        original = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name,
+            lambda *a, **k: seen.append(gc.isenabled()) or original(*a, **k),
+        )
+
     def test_load_and_dumps(self, caller_gc, fitted, tmp_path, monkeypatch):
         seen = []
         for name in ("_decode_document", "_encode_model"):
-            original = getattr(persist, name)
-            monkeypatch.setattr(
-                persist, name,
-                lambda *a, original=original: seen.append(gc.isenabled()) or original(*a),
-            )
+            self.record(monkeypatch, persist, name, seen)
         path = tmp_path / "model.mrp.json"
         save(fitted[0], path)
         assert gc.isenabled() is caller_gc
         load(path)
         assert gc.isenabled() is caller_gc
-        assert seen == [False, False]
+        assert seen == [caller_gc, caller_gc]
 
-    def test_load_that_raises(self, caller_gc, fitted, tmp_path):
+    def test_load_that_raises(self, caller_gc, fitted, tmp_path, monkeypatch):
+        seen = []
+        self.record(monkeypatch, persist, "_decode_document", seen)
         doc = json.loads(dumps_canonical(fitted[0]))
         doc["model_payload"]["trees"][3]["split"]["f"] = "x"
         with pytest.raises(CorruptArtifact):
             loaded_from_text(tmp_path, json.dumps(doc))
         assert gc.isenabled() is caller_gc
+        assert seen == [caller_gc]
 
     @pytest.mark.parametrize("kind", ["forest", "gbm"])
     def test_fit_model(self, caller_gc, kind, movies_table, monkeypatch):
         X, y = preprocess.transform(preprocess.fit_pipeline(movies_table), movies_table)
         seen = []
-        grow = models._grow_tree
-        monkeypatch.setattr(
-            models, "_grow_tree", lambda *a, **k: seen.append(gc.isenabled()) or grow(*a, **k)
-        )
+        self.record(monkeypatch, models, "_grow_tree", seen)
         models.fit_model(kind, X, y, {"n_estimators": 3, "max_depth": 3}, seed=1)
         assert gc.isenabled() is caller_gc
-        assert seen == [False] * 3
+        assert seen == [caller_gc] * 3
+
+    def test_cli_main_predict(self, caller_gc, fitted, movies_table, tmp_path, monkeypatch):
+        seen = []
+        self.record(monkeypatch, persist, "_decode_document", seen)
+        self.record(monkeypatch, models, "predict", seen)
+        path = tmp_path / "model.mrp.json"
+        save(fitted[0], path)
+        request = {c.name: movies_table.column(c.name)[0]
+                   for c in movies_table.schema if c.role == FEATURE}
+        (tmp_path / "req.json").write_text(json.dumps(request | {"model": "gbm"}))
+        code = cli.main(["predict", "--artifact", str(path),
+                         "--input", str(tmp_path / "req.json")])
+        assert code == 0
+        assert gc.isenabled() is caller_gc
+        assert seen == [caller_gc, caller_gc]
+
+    def test_run_disables_the_collector_before_main(self, caller_gc, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 7)
+        assert cli.run() == 7
+        assert seen == [False]
+
+    def test_script_enters_where_the_main_block_does(self):
+        """``[project.scripts] movierev`` names the function that
+        ``python -m movierev.cli`` calls."""
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["movierev"]
+        module, function = script.split(":")
+        source = root / "src" / (module.replace(".", "/") + ".py")
+        main_block = next(
+            node for node in ast.parse(source.read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        )
+        assert module == "movierev.cli"
+        assert ast.unparse(main_block.body[0]) == f"sys.exit({function}())"
