@@ -3,7 +3,8 @@
 For each of the 200-row ``synthetic_movies`` tables on seeds 101 and 7,
 the commands below run in-process through ``movierev.cli.main``: ``train``
 for every kind, linear with ``--no-scale --no-log-money``, gbm and xgb
-with a grid file, xgb with ``--track-r2``; ``evaluate --out`` and
+with a grid file, bagging and forest with a grid over their tree
+options, xgb with ``--track-r2``; ``evaluate --out`` and
 ``predict`` on each artifact; ``summarize``; and two ``select-features``
 runs. Every file they write, and the stdout, stderr and exit code of each
 command, is hashed, with the working directory replaced by ``<dir>``.
@@ -36,6 +37,13 @@ SEEDS = (101, 7)
 ROWS = 200
 KINDS = ("linear", "tree", "bagging", "forest", "gbm", "xgb")
 GRID = {"n_estimators": [5, 10], "max_depth": [2, 3]}
+# the tree options a bagging or forest fit grows its trees under
+ENSEMBLE_GRID = {
+    "n_estimators": [10],
+    "min_samples_leaf": [1, 3],
+    "min_samples_split": [2, 12],
+    "max_features": [None, 3],
+}
 
 
 def commands(d: pathlib.Path) -> list[tuple[str, list[str]]]:
@@ -45,6 +53,8 @@ def commands(d: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("linear-raw", ["--model", "linear", "--no-scale", "--no-log-money"]),
         ("gbm-grid", ["--model", "gbm", "--grid", str(d / "grid.json")]),
         ("xgb-grid", ["--model", "xgb", "--grid", str(d / "grid.json")]),
+        ("bagging-grid", ["--model", "bagging", "--grid", str(d / "ensemble-grid.json")]),
+        ("forest-grid", ["--model", "forest", "--grid", str(d / "ensemble-grid.json")]),
         ("xgb-r2", ["--model", "xgb", "--track-r2", str(d / "xgb-r2.curve.csv")]),
     ]
     out = []
@@ -87,6 +97,7 @@ def digests(workdir: pathlib.Path, seeds=SEEDS, names=None, run=in_process) -> d
         table = synthetic_movies(ROWS, seed=seed)
         write_csv(table, d / "movies.csv")
         (d / "grid.json").write_text(json.dumps(GRID))
+        (d / "ensemble-grid.json").write_text(json.dumps(ENSEMBLE_GRID))
         # the first movie, asked of each kind's artifact
         request = {c.name: table.column(c.name)[0] for c in table.schema if c.role == FEATURE}
         for kind in KINDS:
