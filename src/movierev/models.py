@@ -89,13 +89,13 @@ class LinearModel:
     used_ridge_fallback: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Leaf:
     value: float
     n_samples: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Split:
     feature_index: int
     threshold: float
@@ -139,149 +139,365 @@ class EnsembleModel:
 # shared tree grower
 
 
-def _best_split(X, g, srows, feats, total, min_leaf, lam):
-    """Best (score, feature, threshold) over the candidate features
-    ``feats`` of a node, or None when no legal split exists.
-
-    ``srows`` holds the node's rows in ascending order of each feature,
-    one row of indices per feature of ``X`` (shape (p, n)), with equal
-    values in ascending row order; ``total`` is the node's gradient sum.
-    Only the rows of ``srows`` for ``feats`` are searched.
-    """
-    n = srows.shape[1]
-    rows = srows if feats.size == srows.shape[0] else srows[feats]  # (m, n)
-    xs = X[rows, feats[:, None]]
-    cum = g[rows].cumsum(axis=1)
-
-    left_cnt = np.arange(1, n, dtype=np.float64)[None, :]
-    right_cnt = n - left_cnt
-    GL = cum[:, :-1]
-    GR = total - GL
-    scores = GL * GL / (left_cnt + lam) + GR * GR / (right_cnt + lam)
-    thresholds = (xs[:, :-1] + xs[:, 1:]) / 2.0
-    # a candidate needs distinct neighbours, a threshold that actually
-    # separates them, and both children at or above the leaf minimum
-    valid = (xs[:, 1:] > xs[:, :-1]) & (thresholds > xs[:, :-1])
-    if min_leaf > 1:
-        valid &= (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
-
-    # scores are non-negative, so -inf marks invalid candidates safely;
-    # argmax takes the first maximum in row-major order, which realizes
-    # the tie-break rule (lowest feature index, then lowest threshold)
-    masked = np.where(valid, scores, -math.inf)
-    j, b = divmod(int(masked.argmax()), n - 1)
-    best = masked[j, b]
-    if best == -math.inf:
-        return None
-    if not math.isfinite(best):
-        raise NonFiniteSplit("split scores overflowed or are NaN; rescale the target")
-    return float(best), int(feats[j]), float(thresholds[j, b])
-
-
 # midpoints of values up to this magnitude cannot overflow: the sum of
 # two of them stays below 2**1023
 MAX_FEATURE_MAGNITUDE = 2.0**1022
 
+# Batching pays for small nodes, whose numpy calls cost more than their
+# arithmetic. A node of more than _ALONE_CELLS candidate cells (features
+# x padded rows) is searched alone, and a split of more than _ALONE_ROWS
+# rows is partitioned alone. One batched search holds at most
+# _SEARCH_CELLS cells, and one batched partition at most _PARTITION_CELLS
+# index cells, which bounds their working memory.
+_ALONE_CELLS = 2**11
+_ALONE_ROWS = 2**9
+_SEARCH_CELLS = 2**15
+_PARTITION_CELLS = 2**17
 
-def _presort(X):
-    """The stable per-column order of ``X``, after checking that every
-    midpoint between its values is finite."""
-    if X.size and float(np.abs(X).max()) > MAX_FEATURE_MAGNITUDE:
+
+def _presort(XT):
+    """The stable order of each row of ``XT`` (one row per feature), after
+    checking that every midpoint between its values is finite."""
+    if XT.size and float(np.abs(XT).max()) > MAX_FEATURE_MAGNITUDE:
         raise NonFiniteSplit(
             "a feature value exceeds 2**1022 in magnitude; rescale the features"
         )
-    return np.argsort(X, axis=0, kind="stable")
+    return np.argsort(XT, axis=1, kind="stable")
 
 
-def _grow_tree(X, g, config, lam, gamma, require_gain, rng, train_pred=None, presort=None):
-    """Depth-first greedy growth on gradient sums.
+def _grow_trees(XT, g, config, lam, gamma, require_gain, rngs, train_pred=None, presort=None):
+    """Grow ``len(rngs)`` trees in lockstep, depth first, on gradient sums.
 
-    Nodes are processed root first, then the whole left subtree, then the
-    right, so feature-subset draws consume ``rng`` in one documented
-    order. ``train_pred``, when given, is filled with each training row's
-    leaf value. Iterative so unlimited-depth trees cannot hit the Python
-    recursion limit.
+    ``XT`` is the feature matrix transposed, one contiguous row per
+    feature. Tree ``t`` owns the ``t``-th of ``len(rngs)`` equal blocks of
+    its columns and of ``g``, and draws its feature subsets from
+    ``rngs[t]``. Each tree grows its nodes root first, then the whole left
+    subtree, then the right, so its draws consume its own stream in one
+    documented order. ``train_pred``, when given, is filled with each
+    row's leaf value.
 
-    Every node that may be split carries its rows in ascending order of
-    each feature, as a (p, n) index array. The root's order is the stable
-    column presort of ``X`` (``presort``, computed here when not given);
-    a split hands each child the stable boolean partition of its
-    parent's order, so a child's order is the presort filtered to the
-    child's rows, and no node sorts again. A child that will never be
-    searched (at the depth limit, or below ``min_samples_split`` rows)
-    gets no order.
+    Each step takes from every unfinished tree its next nodes, up to and
+    including the first that may draw from its stream; a tree that draws
+    nothing gives all its pending nodes, which are one level of it. The
+    step sums their gradients, searches their splits and partitions their
+    rows together, so the numpy calls of small nodes are shared. The
+    order of work across nodes that draw nothing changes no result.
+
+    A node is a segment ``[start, start + size)`` of every row of one
+    ``(p + 1, n)`` index array: row ``f < p`` holds the node's rows in
+    ascending order of feature ``f`` (equal values in ascending row
+    order), row ``p`` its rows ascending. The roots start from the stable
+    presort of their blocks (``presort``, of a single tree, is computed
+    here when not given); a split reorders its segment stably, left rows
+    first, so no node sorts again. The feature rows of a segment whose
+    children will never be searched are left as they are.
     """
-    n_total, p = X.shape
-    if presort is None:
-        presort = _presort(X)
-    all_feats = np.arange(p, dtype=np.intp)
-    in_left = np.zeros(n_total, dtype=bool)  # scratch mask, cleared after each split
-    root = None
-    # stack entries: (row indices ascending, per-feature order or None,
-    # depth, parent Split or None, side)
-    root_order = np.ascontiguousarray(presort.T) if _searchable(n_total, 0, config) else None
-    stack = [(np.arange(n_total, dtype=np.intp), root_order, 0, None, "")]
-    while stack:
-        idx, srows, depth, parent, side = stack.pop()
-        gn = g[idx]
-        n = idx.size
-        total = float(gn.sum())
-
-        node = None
-        stopped = srows is None or bool((gn == gn[0]).all())
-        if not stopped:
-            if config.max_features is not None and config.max_features < p:
-                feats = np.array(
-                    sorted(rng.sample_without_replacement(p, config.max_features)),
-                    dtype=np.intp,
+    p, n_rows = XT.shape
+    n = n_rows // len(rngs)
+    order = np.empty((p + 1, n_rows), dtype=np.intp)
+    order[p] = np.arange(n_rows)
+    for t in range(len(rngs)):
+        block = slice(t * n, (t + 1) * n)
+        order[:p, block] = _presort(XT[:, block]) if presort is None else presort
+        if t:
+            order[:p, block] += t * n
+    rows = order[p]
+    max_depth = math.inf if config.max_depth is None else config.max_depth
+    min_split = config.min_samples_split
+    subset = config.max_features
+    if subset is not None and subset >= p:
+        subset = None
+    all_feats = list(range(p))
+    in_left = np.zeros(n_rows, dtype=bool)  # scratch mask, cleared after each use
+    roots = [None] * len(rngs)
+    # per tree, the nodes left to grow, the next one last:
+    # (start, size, depth, parent Split or None, side)
+    stacks = [[(t * n, n, 0, None, "")] for t in range(len(rngs))]
+    live = list(range(len(rngs)))
+    # padded candidates and an overflowing target may meet inf or NaN; a
+    # best split that is not finite raises NonFiniteSplit instead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live:
+            batch, owner, may_split = [], [], []
+            for t in live:
+                stack = stacks[t]
+                while stack:
+                    node = stack.pop()
+                    batch.append(node)
+                    owner.append(t)
+                    may_split.append(node[1] >= min_split and node[2] < max_depth)
+                    if subset and may_split[-1]:
+                        break
+            totals, constant = _node_totals(g, rows, batch, may_split)
+            searched, feats = [], []
+            for i, same in enumerate(constant):
+                if not same:
+                    searched.append(i)
+                    feats.append(
+                        sorted(rngs[owner[i]].sample_without_replacement(p, subset))
+                        if subset else all_feats
+                    )
+            found = [None] * len(batch)
+            if searched:
+                bests = _best_splits(
+                    XT, g, order, batch, totals, searched, feats, config.min_samples_leaf, lam
                 )
-            else:
-                feats = all_feats
-            found = _best_split(X, g, srows, feats, total, config.min_samples_leaf, lam)
-            if found is not None:
-                score, feature, threshold = found
-                if require_gain:
-                    gain = 0.5 * (score - total * total / (n + lam)) - gamma
-                    if gain <= 0.0:
-                        found = None
-            if found is not None:
-                node = Split(
-                    feature_index=feature, threshold=threshold, left=None, right=None
-                )
-                go_left = X[idx, feature] < threshold
-                left, right = idx[go_left], idx[~go_left]
-                search_left = _searchable(left.size, depth + 1, config)
-                search_right = _searchable(right.size, depth + 1, config)
-                left_order = right_order = None
-                if search_left or search_right:
-                    in_left[left] = True
-                    sel = in_left[srows]
-                    in_left[left] = False
-                    if search_left:
-                        left_order = srows[sel].reshape(p, left.size)
-                    if search_right:
-                        right_order = srows[~sel].reshape(p, right.size)
-                # push right first so the left subtree is grown first
-                stack.append((right, right_order, depth + 1, node, "right"))
-                stack.append((left, left_order, depth + 1, node, "left"))
+                for i, best in zip(searched, bests):
+                    found[i] = best
+            splits = []
+            for i, (start, size, depth, parent, side) in enumerate(batch):
+                best = found[i]
+                if best is not None and require_gain:
+                    total = totals[i]
+                    if 0.5 * (best[0] - total * total / (size + lam)) - gamma <= 0.0:
+                        best = None
+                if best is None:
+                    node = Leaf(-totals[i] / (size + lam), size)
+                    if train_pred is not None:
+                        train_pred[rows[start:start + size]] = node.value
+                else:
+                    _, feature, threshold, n_left = best
+                    node = Split(feature, threshold, None, None)
+                    # no child of fewer than size - 1 rows is ever searched
+                    splits.append((start, size, n_left, feature, threshold,
+                                   depth + 1 < max_depth and size > min_split))
+                    stack = stacks[owner[i]]
+                    stack.append((start + n_left, size - n_left, depth + 1, node, "right"))
+                    stack.append((start, n_left, depth + 1, node, "left"))
+                if parent is None:
+                    roots[owner[i]] = node
+                else:
+                    setattr(parent, side, node)
+            if splits:
+                _partition(XT, order, in_left, splits)
+            live = [t for t in live if stacks[t]]
+    return roots
 
-        if node is None:
-            node = Leaf(value=-total / (n + lam), n_samples=n)
-            if train_pred is not None:
-                train_pred[idx] = node.value
 
-        if parent is None:
-            root = node
+# what ``ndarray.sum`` and ``ndarray.all`` call, without their wrappers
+_add = np.add.reduce
+_all = np.logical_and.reduce
+
+
+def _node_totals(g, rows, batch, may_split):
+    """The gradient sum of each node of ``batch``, a segment of ``rows``,
+    and whether its gradient is constant, which is taken as true where
+    ``may_split`` is false. Nodes of one size are summed as the rows of
+    one (k, size) array, and each row sums bit for bit as its node's own
+    ``g[...].sum()``; padding nodes to a common size would not."""
+    by_size = {}
+    for i, node in enumerate(batch):
+        by_size.setdefault(node[1], []).append(i)
+    totals = [0.0] * len(batch)
+    constant = [True] * len(batch)
+    for size, members in by_size.items():
+        if len(members) == 1:
+            i = members[0]
+            start = batch[i][0]
+            gn = g.take(rows[start:start + size])
+            totals[i] = float(_add(gn))
+            if may_split[i]:
+                constant[i] = bool(_all(gn == gn[0]))
+            continue
+        starts = np.array([batch[i][0] for i in members])
+        gn = g.take(rows.take(starts[:, None] + np.arange(size)))
+        for i, total in zip(members, _add(gn, axis=1).tolist()):
+            totals[i] = total
+        if any(may_split[i] for i in members):
+            for i, same in zip(members, _all(gn == gn[:, :1], axis=1).tolist()):
+                constant[i] = same or not may_split[i]
+    return totals, constant
+
+
+def _best_splits(XT, g, order, nodes, totals, searched, feats, min_leaf, lam):
+    """The best (score, feature, threshold, left size) of each node
+    ``nodes[i]``, ``i`` in ``searched``, or None where no legal split
+    exists. A node is a segment (start, size, ...) of ``order``, of at
+    least two rows, with gradient sum ``totals[i]``; ``feats`` holds the
+    sorted candidate features of each searched node, a list of the same
+    length for every node.
+
+    Small nodes are searched together, in chunks padded to the widest
+    power-of-two row count among them; a node alone in its chunk is
+    searched at its own width.
+    """
+    m = len(feats[0])
+    out = [None] * len(searched)
+    small = []  # (width, k) of the nodes searched together
+    for k, i in enumerate(searched):
+        width = 1 << (nodes[i][1] - 1).bit_length()
+        if width * m > _ALONE_CELLS:
+            out[k] = _search_one(XT, g, order, nodes[i], totals[i], feats[k], min_leaf, lam)
         else:
-            setattr(parent, side, node)
-    return root
+            small.append((width, k))
+    # chunks of nodes in ascending width, each padded to its widest
+    small.sort()
+    chunks, chunk = [], []
+    for width, k in small:
+        if chunk and (len(chunk) + 1) * width * m > _SEARCH_CELLS:
+            chunks.append((chunk_width, chunk))
+            chunk = []
+        chunk.append(k)
+        chunk_width = width
+    if chunk:
+        chunks.append((chunk_width, chunk))
+    for width, chunk in chunks:
+        if len(chunk) == 1:
+            k = chunk[0]
+            i = searched[k]
+            out[k] = _search_one(XT, g, order, nodes[i], totals[i], feats[k], min_leaf, lam)
+            continue
+        starts = np.array([nodes[searched[k]][0] for k in chunk])
+        sizes = np.array([nodes[searched[k]][1] for k in chunk])
+        # a segment's padding repeats its last row, so its padded
+        # neighbours are equal and no padded candidate is legal
+        positions = np.minimum(
+            starts[:, None] + np.arange(width), (starts + sizes - 1)[:, None]
+        )
+        chunk_feats = np.array([feats[k] for k in chunk])[:, :, None]
+        rows = order.ravel().take(chunk_feats * order.shape[1] + positions[:, None, :])
+        scores, thresholds = _scores(
+            XT, g, rows, chunk_feats, sizes[:, None, None].astype(np.float64),
+            np.array([totals[searched[k]] for k in chunk])[:, None, None], min_leaf, lam,
+        )
+        flat = scores.reshape(len(chunk), -1).argmax(axis=1)
+        j, b = np.divmod(flat, width - 1)
+        node = np.arange(len(chunk))
+        for k, best, feature, threshold, n_left in zip(
+            chunk, scores[node, j, b].tolist(), chunk_feats[node, j, 0].tolist(),
+            thresholds[node, j, b].tolist(), (b + 1).tolist(),
+        ):
+            out[k] = _checked(best, feature, threshold, n_left)
+    return out
 
 
-def _searchable(n, depth, config) -> bool:
-    """Whether a node of ``n`` rows at ``depth`` may be split."""
-    return n >= config.min_samples_split and (
-        config.max_depth is None or depth < config.max_depth
+def _search_one(XT, g, order, node, total, feats, min_leaf, lam):
+    """:func:`_best_splits` of one node, over its own rows only."""
+    start, size = node[:2]
+    m = len(feats)
+    # sorted distinct features ending at m - 1 are 0 .. m - 1
+    rows = order[:m, start:start + size] if feats[-1] == m - 1 else order[feats, start:start + size]
+    scores, thresholds = _scores(
+        XT, g, rows[None], np.array(feats)[None, :, None], size, total, min_leaf, lam
     )
+    j, b = divmod(int(scores.argmax()), size - 1)
+    return _checked(float(scores[0, j, b]), feats[j], float(thresholds[0, j, b]), b + 1)
+
+
+def _scores(XT, g, rows, feats, sizes, totals, min_leaf, lam):
+    """(scores, thresholds) of every candidate split of k nodes, each
+    (k, m, w - 1), with -inf scores where a candidate is not legal.
+    ``rows`` (k, m, w) holds each node's rows in ascending order of each
+    of its m candidate features ``feats`` (k, m, 1); ``sizes`` and
+    ``totals`` are the nodes' row counts and gradient sums, shaped
+    (k, 1, 1), or scalars for one node. Candidates past a node's size
+    must not be legal."""
+    xs = XT.ravel().take(rows + feats * XT.shape[1])
+    GL = g.take(rows).cumsum(axis=2)[:, :, :-1]
+    left_cnt = np.arange(1, rows.shape[2], dtype=np.float64)
+    right_cnt = sizes - left_cnt
+    GR = totals - GL
+    if lam:
+        scores = GL * GL / (left_cnt + lam) + GR * GR / (right_cnt + lam)
+    else:  # adding 0.0 to a positive count changes no bit
+        scores = GL * GL / left_cnt + GR * GR / right_cnt
+    lo = xs[:, :, :-1]
+    thresholds = (lo + xs[:, :, 1:]) / 2.0
+    # a candidate needs a threshold that separates its neighbours (so
+    # they are distinct), and both children at or above the leaf minimum
+    valid = thresholds > lo
+    if min_leaf > 1:
+        valid &= (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
+    # scores are non-negative, so -inf marks invalid candidates safely;
+    # argmax takes the first maximum in row-major order, which realizes
+    # the tie-break rule (lowest feature index, then lowest threshold)
+    return np.where(valid, scores, -math.inf), thresholds
+
+
+def _checked(best, feature, threshold, n_left):
+    """A found split as (score, feature, threshold, left child's size),
+    None when its score is -inf (no legal candidate). The left child is
+    the first ``n_left`` rows in the feature's order, the values below
+    the threshold."""
+    if best == -math.inf:
+        return None
+    if not math.isfinite(best):
+        raise NonFiniteSplit("split scores overflowed or are NaN; rescale the target")
+    return best, feature, threshold, n_left
+
+
+def _partition(XT, order, in_left, splits):
+    """Split segments of ``order`` in place, each left rows first. A split
+    is (start, size, left child's size, feature, threshold, whether its
+    children may be searched); a row goes left when its feature value is
+    below the threshold. For a split whose children are never searched
+    only the ascending row is reordered. Small splits are partitioned
+    together, in chunks of one kind."""
+    p = order.shape[0] - 1
+    chunks = {True: [[]], False: [[]]}
+    cells = {True: 0, False: 0}
+    alone = []
+    for split in splits:
+        size, searchable = split[1], split[5]
+        if size > _ALONE_ROWS:
+            alone.append(split)
+            continue
+        cost = size * (p + 1 if searchable else 1)
+        if cells[searchable] + cost > _PARTITION_CELLS:
+            chunks[searchable].append([])
+            cells[searchable] = 0
+        chunks[searchable][-1].append(split)
+        cells[searchable] += cost
+    for searchable, parts in chunks.items():
+        for part in parts:
+            if len(part) > 1:
+                _partition_segments(XT, order, in_left, part, searchable)
+            else:
+                alone += part
+    for start, size, n_left, feature, threshold, searchable in alone:
+        rows = order[p, start:start + size]
+        go_left = XT[feature].take(rows) < threshold
+        segment = order[0 if searchable else p:, start:start + size]
+        if searchable:
+            in_left[rows] = go_left
+            go_left = in_left.take(segment).ravel()
+            in_left[rows] = False
+        # np.compress of flat arrays is much faster than a 2-D mask index
+        values = segment.ravel()
+        lefts, rights = np.compress(go_left, values), np.compress(~go_left, values)
+        segment[:, :n_left] = lefts.reshape(-1, n_left)
+        segment[:, n_left:] = rights.reshape(-1, size - n_left)
+
+
+def _partition_segments(XT, order, in_left, splits, searchable):
+    """:func:`_partition` of several splits of one kind at once."""
+    p = order.shape[0] - 1
+    starts, sizes, n_left, feats, thresholds, _ = (np.array(c) for c in zip(*splits))
+    offsets = np.cumsum(sizes) - sizes  # of each segment in ``pos``
+    pos = np.arange(offsets[-1] + sizes[-1]) + np.repeat(starts - offsets, sizes)
+    rows = order[p].take(pos)
+    go_left = XT.ravel().take(rows + np.repeat(feats * XT.shape[1], sizes)) < np.repeat(
+        thresholds, sizes
+    )
+    values = rows[None]
+    if searchable:
+        values = order.take(pos, axis=1)
+        in_left[rows] = go_left
+        go_left = in_left.take(values).ravel()
+        in_left[rows] = False
+    # the lefts and rights of each segment come in segment order
+    lefts_before = np.cumsum(n_left) - n_left
+    to_left = np.arange(lefts_before[-1] + n_left[-1]) + np.repeat(
+        starts - lefts_before, n_left
+    )
+    to_right = np.arange(pos.size - to_left.size) + np.repeat(
+        starts + n_left - offsets + lefts_before, sizes - n_left
+    )
+    target = order[0 if searchable else p:]
+    values = values.ravel()
+    lefts, rights = np.compress(go_left, values), np.compress(~go_left, values)
+    target[:, to_left] = lefts.reshape(len(target), -1)
+    target[:, to_right] = rights.reshape(len(target), -1)
 
 
 def _tree_predict_matrix(tree, X):
@@ -328,8 +544,8 @@ def fit_cart(X, y, config: TreeConfig | None = None, rng_seed: int = 0) -> TreeN
     X = _as_matrix(X)
     y = _as_vector(y, X.shape[0])
     config = config or TreeConfig()
-    rng = Xoshiro256StarStar(rng_seed)
-    return _grow_tree(X, -y, config, 0.0, 0.0, False, rng)
+    XT = np.ascontiguousarray(X.T)
+    return _grow_trees(XT, -y, config, 0.0, 0.0, False, [Xoshiro256StarStar(rng_seed)])[0]
 
 
 def _fit_bootstrap_ensemble(kind, X, y, n_estimators, config, seed):
@@ -339,11 +555,15 @@ def _fit_bootstrap_ensemble(kind, X, y, n_estimators, config, seed):
         raise ValueError("n_estimators must be >= 1")
     n = X.shape[0]
     seeds = [derive_seed(seed, i) for i in range(n_estimators)]
-    trees = []
+    boots, rngs = [], []
     for tree_seed in seeds:
         rng = Xoshiro256StarStar(tree_seed)
-        boot = np.array(rng.bootstrap_indices(n), dtype=np.intp)
-        trees.append(fit_cart(X[boot], y[boot], config, rng.next_uint64()))
+        boots += rng.bootstrap_indices(n)
+        rngs.append(Xoshiro256StarStar(rng.next_uint64()))
+    # tree i grows on the i-th block of n bootstrap rows
+    boot = np.array(boots, dtype=np.intp)
+    XT = np.ascontiguousarray(X.T.take(boot, axis=1))
+    trees = _grow_trees(XT, -y[boot], config, 0.0, 0.0, False, rngs)
     return EnsembleModel(kind=kind, trees=trees, per_tree_seeds=seeds)
 
 
@@ -387,12 +607,13 @@ def _fit_boosting(kind, X, y, n_estimators, learning_rate, config, lam, gamma):
     F = np.full(X.shape[0], init, dtype=np.float64)
     trees = []
     require_gain = kind == KIND_XGB
-    presort = _presort(X)  # X is fixed across stages
+    XT = np.ascontiguousarray(X.T)
+    presort = _presort(XT)  # X is fixed across stages
     for _ in range(n_estimators):
         g = F - y
         pred = np.empty(X.shape[0], dtype=np.float64)
-        tree = _grow_tree(
-            X, g, config, lam, gamma, require_gain, None, train_pred=pred, presort=presort
+        (tree,) = _grow_trees(
+            XT, g, config, lam, gamma, require_gain, [None], train_pred=pred, presort=presort
         )
         F = F + learning_rate * pred
         trees.append(tree)
@@ -452,21 +673,24 @@ def predict(model, X) -> np.ndarray:
     """Predictions for a matrix of rows, dispatching on the model type."""
     X = _as_matrix(X)
     try:
-        if isinstance(model, LinearModel):
-            if X.shape[1] != model.coefficients.size:
-                raise DimensionMismatch(model.coefficients.size, X.shape[1])
-            return X @ model.coefficients + model.intercept
-        if isinstance(model, (Split, Leaf)):
-            return _tree_predict_matrix(model, X)
-        if isinstance(model, EnsembleModel):
-            if model.kind in BOOSTING_KINDS:
-                for out in staged_predict(model, X):
-                    pass
-                return out
-            acc = np.zeros(X.shape[0], dtype=np.float64)
-            for tree in model.trees:
-                acc += _tree_predict_matrix(tree, X)
-            return acc / len(model.trees)
+        # a sum that overflows gives inf or NaN, which callers refuse as
+        # NonFiniteResult; numpy need not warn about it first
+        with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(model, LinearModel):
+                if X.shape[1] != model.coefficients.size:
+                    raise DimensionMismatch(model.coefficients.size, X.shape[1])
+                return X @ model.coefficients + model.intercept
+            if isinstance(model, (Split, Leaf)):
+                return _tree_predict_matrix(model, X)
+            if isinstance(model, EnsembleModel):
+                if model.kind in BOOSTING_KINDS:
+                    for out in staged_predict(model, X):
+                        pass
+                    return out
+                acc = np.zeros(X.shape[0], dtype=np.float64)
+                for tree in model.trees:
+                    acc += _tree_predict_matrix(tree, X)
+                return acc / len(model.trees)
     except IndexError:
         raise DimensionMismatch(-1, X.shape[1]) from None
     raise TypeError(f"cannot predict with {type(model).__name__}")
@@ -481,7 +705,9 @@ def staged_predict(model: EnsembleModel, X):
     out = np.full(X.shape[0], model.init_value, dtype=np.float64)
     yield out
     for tree in model.trees:
-        out = out + model.learning_rate * _tree_predict_matrix(tree, X)
+        step = _tree_predict_matrix(tree, X)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in ``predict``
+            out = out + model.learning_rate * step
         yield out
 
 

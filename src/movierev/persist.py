@@ -14,6 +14,7 @@ timestamp pass one explicitly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -95,37 +96,78 @@ def make_artifact(
 # --------------------------------------------------------------------------
 # encoding
 
+# the most levels of splits above a leaf that ``save`` writes. The reader
+# parses with Python's ``json``, which recurses twice per tree level and
+# gives up near 490 levels, less under a deep call stack; a tree this
+# deep still loads under any sensible one.
+MAX_TREE_DEPTH = 400
 
-def _encode_tree(node) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": {"v": float(node.value), "n": int(node.n_samples)}}
-    return {
-        "split": {
-            "f": int(node.feature_index),
-            "t": float(node.threshold),
-            "l": _encode_tree(node.left),
-            "r": _encode_tree(node.right),
-        }
-    }
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _encode_model(kind: str, model) -> dict:
+def _object(fields: dict) -> str:
+    """The canonical JSON object of ``fields``, whose values are already
+    canonical JSON text."""
+    return "{" + ",".join(f"{_dumps(k)}:{v}" for k, v in sorted(fields.items())) + "}"
+
+
+def _tree_texts(trees) -> list[str]:
+    """The canonical JSON text of each of ``trees``, written node by node
+    without recursion, exactly as ``_dumps`` writes the tagged nested
+    objects: keys in sorted order (leaf ``n``, ``v``; split ``f``,
+    ``l``, ``r``, ``t``), floats by ``float.__repr__``.
+
+    A tree with more than ``MAX_TREE_DEPTH`` levels of splits raises
+    ``ArtifactError``. A non-finite float raises ``_dumps``' own
+    ``ValueError``, once every tree has passed the depth check."""
+    texts = []
+    bad = []
+    for tree in trees:
+        parts = []
+        stack = [(tree, 0)]  # text to write, or (node, depth); the next item last
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+                continue
+            node, depth = item
+            if isinstance(node, Leaf):
+                v = float(node.value)
+                if v - v != 0.0:  # inf or NaN
+                    bad.append(v)
+                parts.append(f'{{"leaf":{{"n":{int(node.n_samples)},"v":{v!r}}}}}')
+                continue
+            if depth == MAX_TREE_DEPTH:
+                raise ArtifactError("a tree is nested too deep to save as a v1 artifact")
+            t = float(node.threshold)
+            if t - t != 0.0:
+                bad.append(t)
+            parts.append(f'{{"split":{{"f":{int(node.feature_index)},"l":')
+            stack.append(f',"t":{t!r}}}}}')
+            stack.append((node.right, depth + 1))
+            stack.append(',"r":')
+            stack.append((node.left, depth + 1))
+        texts.append("".join(parts))
+    if bad:
+        _dumps(bad[0])
+    return texts
+
+
+def _encode_model(kind: str, model) -> str:
     if kind == KIND_LINEAR:
-        return {
+        return _dumps({
             "coefficients": [float(c) for c in model.coefficients],
             "intercept": float(model.intercept),
             "used_ridge_fallback": bool(model.used_ridge_fallback),
-        }
+        })
     if kind == KIND_TREE:
-        return {"tree": _encode_tree(model)}
+        return _object({"tree": _tree_texts([model])[0]})
+    fields = {"trees": "[" + ",".join(_tree_texts(model.trees)) + "]"}
     if kind in (KIND_BAGGING, KIND_FOREST):
-        return {
-            "trees": [_encode_tree(t) for t in model.trees],
-            "per_tree_seeds": [int(s) for s in model.per_tree_seeds],
-        }
-    payload = {"trees": [_encode_tree(t) for t in model.trees]}
-    payload.update((name, float(getattr(model, name))) for name in _BOOSTING_FLOATS[kind])
-    return payload
+        fields["per_tree_seeds"] = _dumps([int(s) for s in model.per_tree_seeds])
+    else:
+        fields.update((name, _dumps(float(getattr(model, name)))) for name in _BOOSTING_FLOATS[kind])
+    return _object(fields)
 
 
 def _encode_pipeline(p: Pipeline) -> dict:
@@ -147,18 +189,21 @@ def _encode_pipeline(p: Pipeline) -> dict:
 
 
 def dumps_canonical(artifact: ModelArtifact) -> str:
+    """The canonical v1 text of ``artifact``: what ``json.dumps`` with
+    sorted keys and no spaces writes for its document, and a newline."""
     kind = artifact.model_kind
     if kind not in _V1_KIND:
         raise ValueError(f"unknown model kind {kind!r}")
-    doc = {
-        "format_version": int(artifact.format_version),
-        "created_utc": artifact.created_utc,
-        "pipeline": _encode_pipeline(artifact.pipeline),
-        "model_kind": _V1_KIND[kind],
-        "model_payload": _encode_model(kind, artifact.model),
-        "training_meta": _canon_meta(artifact.training_meta),
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    # the model first: a tree too deep fails before any other field
+    payload = _encode_model(kind, artifact.model)
+    return _object({
+        "format_version": _dumps(int(artifact.format_version)),
+        "created_utc": _dumps(artifact.created_utc),
+        "pipeline": _dumps(_encode_pipeline(artifact.pipeline)),
+        "model_kind": _dumps(_V1_KIND[kind]),
+        "model_payload": payload,
+        "training_meta": _dumps(_canon_meta(artifact.training_meta)),
+    }) + "\n"
 
 
 def _canon_meta(meta: dict) -> dict:
@@ -176,12 +221,9 @@ def _canon_meta(meta: dict) -> dict:
 
 
 def save(artifact: ModelArtifact, path) -> None:
-    """Write the canonical bytes; a tree nested too deep to encode raises
-    ``ArtifactError`` before the file is opened."""
-    try:
-        data = dumps_canonical(artifact).encode("utf-8")
-    except RecursionError:
-        raise ArtifactError("a tree is nested too deep to save as a v1 artifact") from None
+    """Write the canonical bytes; a tree with more than ``MAX_TREE_DEPTH``
+    levels of splits raises ``ArtifactError`` before the file is opened."""
+    data = dumps_canonical(artifact).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
 

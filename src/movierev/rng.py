@@ -24,6 +24,10 @@ from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# every output below _SURE_BELOW passes randbelow's test for a bound up
+# to _SURE_BOUND: that bound's limit is above 2**64 - _SURE_BOUND
+_SURE_BOUND = 1 << 32
+_SURE_BELOW = (1 << 64) - _SURE_BOUND
 
 
 def _mix64(z: int) -> int:
@@ -84,23 +88,51 @@ class Xoshiro256StarStar:
             if v < limit:
                 return v % n
 
+    def _below_each(self, bounds) -> list[int]:
+        """``[self.randbelow(b) for b in bounds]``, each bound >= 1, with
+        the state stepped in one local loop rather than one method call
+        per output."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        append = out.append
+        for b in bounds:
+            while True:  # the next_uint64 step, inlined
+                v = (s1 * 5) & _MASK64
+                v = ((v << 7 | v >> 57) * 9) & _MASK64
+                t = s1 << 17
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 = (s2 ^ t) & _MASK64
+                s3 = (s3 << 45 | s3 >> 19) & _MASK64
+                # randbelow's rejection test, with a shortcut for small bounds
+                if (v < _SURE_BELOW and b <= _SURE_BOUND) or v < (1 << 64) - (1 << 64) % b:
+                    break
+            append(v % b)
+        self._s = [s0, s1, s2, s3]
+        return out
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates: for i = n-1 .. 1, swap i with
         ``randbelow(i + 1)``."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        n = len(items)
+        for i, j in zip(range(n - 1, 0, -1), self._below_each(range(n, 1, -1))):
             items[i], items[j] = items[j], items[i]
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
-        """k distinct values from range(n) by a partial Fisher-Yates pass."""
+        """k distinct values from range(n) by a partial Fisher-Yates pass:
+        for i = 0 .. k-1, swap i with ``i + randbelow(n - i)``."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         idx = list(range(n))
-        for i in range(k):
-            j = i + self.randbelow(n - i)
+        i = 0
+        for r in self._below_each(range(n, n - k, -1)):
+            j = i + r
             idx[i], idx[j] = idx[j], idx[i]
+            i += 1
         return idx[:k]
 
     def bootstrap_indices(self, n: int) -> list[int]:
         """n draws with replacement from range(n), in draw order."""
-        return [self.randbelow(n) for _ in range(n)]
+        return self._below_each([n] * n)

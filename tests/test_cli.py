@@ -323,6 +323,37 @@ def test_prediction_past_exp_range_exits_four(tmp_path, argv, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", f"model error: {err}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--input", "{d}/req.json"],
+    ["evaluate", "--data", "{d}/movies.csv"],
+    ["evaluate", "--data", "{d}/movies.csv", "--raw-space-metrics"],
+], ids=["predict", "evaluate", "evaluate-raw-space"])
+def test_overflowing_raw_space_sum_prints_no_warning(tmp_path, argv):
+    """The golden artifact in raw target space, with every leaf and the
+    initial value at 1e308: the boosting sum overflows. Each command
+    refused the result, but numpy printed "overflow encountered in add"
+    before the model error."""
+    doc = json.loads(GOLDEN.read_text())
+    doc["pipeline"]["log_target"] = False
+    payload = doc["model_payload"]
+    payload["init_value"] = 1e308
+    nodes = list(payload["trees"])
+    while nodes:
+        node = nodes.pop()
+        if "leaf" in node:
+            node["leaf"]["v"] = 1e308
+        else:
+            nodes += [node["split"]["l"], node["split"]["r"]]
+    (tmp_path / "huge.mrp.json").write_text(json.dumps(doc))
+    (tmp_path / "req.json").write_text(json.dumps(golden_request()))
+    write_csv(synthetic_movies(60, seed=3), tmp_path / "movies.csv")
+    argv = [a.format(d=tmp_path) for a in argv] + ["--artifact", str(tmp_path / "huge.mrp.json")]
+    proc = run_python(["-m", "movierev.cli", *argv], timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("model error:") and "Warning" not in proc.stderr
+
+
 class TestUnreadableInput:
     @pytest.mark.parametrize(
         "case", ["train --data", "train --out", "train --grid", "predict --input",

@@ -29,7 +29,8 @@ from movierev.models import (
     staged_predict,
     staged_train_r2,
 )
-from movierev.models import _grow_tree  # engine-level check of the leaf formula
+from movierev.models import _grow_trees  # engine-level check of the leaf formula
+from movierev.rng import Xoshiro256StarStar, derive_seed
 from tests.conftest import run_python
 
 
@@ -431,6 +432,80 @@ class TestBaggingForest:
         assert tree_structure(model.trees[0]) == tree_structure(expected)
 
 
+def one_tree_at_a_time(X, y, n_estimators, config, seed):
+    """The trees of a bagging or forest fit, grown one by one: member i
+    draws its bootstrap from the stream seeded with derive_seed(seed, i)
+    and grows ``fit_cart`` on it with the stream's next value as seed."""
+    trees = []
+    for i in range(n_estimators):
+        rng = Xoshiro256StarStar(derive_seed(seed, i))
+        boot = np.array(rng.bootstrap_indices(len(y)), dtype=np.intp)
+        trees.append(fit_cart(X[boot], y[boot], config, rng.next_uint64()))
+    return trees
+
+
+def lockstep_tables():
+    rs = np.random.RandomState(31)
+    yield "random", rs.rand(120, 7), rs.randn(120)
+    # at most 5 distinct values per column, and in the target
+    yield "ties", rs.randint(0, 5, size=(150, 7)).astype(float), rs.randint(0, 3, 150) * 0.5
+    y = np.where(rs.rand(90) < 0.6, 0.0, rs.rand(90))
+    y[::7] = -0.0
+    yield "zeros", rs.rand(90, 7), y
+
+
+class TestLockstep:
+    """An ensemble grows all its trees in lockstep; every tree must equal
+    the tree grown alone on its bootstrap. ``repr`` compares floats by
+    their digits, so it also tells a -0.0 leaf from a 0.0 one."""
+
+    @pytest.mark.parametrize("table", list(lockstep_tables()), ids=lambda t: t[0])
+    @pytest.mark.parametrize("config", [
+        TreeConfig(),
+        TreeConfig(max_depth=3),
+        TreeConfig(min_samples_leaf=3, min_samples_split=12),
+        TreeConfig(max_features=2),
+        TreeConfig(max_features=5),
+    ], ids=["default", "depth-3", "leaf-3-split-12", "features-2", "features-5"])
+    @pytest.mark.parametrize("fit", [fit_bagging, fit_random_forest], ids=["bagging", "forest"])
+    def test_equals_one_tree_at_a_time(self, table, config, fit):
+        _, X, y = table
+        model = fit(X, y, n_estimators=12, tree_config=config, seed=4)
+        if fit is fit_random_forest and config.max_features is None:
+            config = replace(config, max_features=default_max_features(X.shape[1]))
+        assert repr(model.trees) == repr(one_tree_at_a_time(X, y, 12, config, 4))
+
+    @pytest.mark.parametrize("fit", [fit_bagging, fit_random_forest], ids=["bagging", "forest"])
+    def test_single_estimator(self, fit):
+        _, X, y = next(lockstep_tables())
+        model = fit(X, y, n_estimators=1, tree_config=TreeConfig(max_features=3), seed=9)
+        assert repr(model.trees) == repr(
+            one_tree_at_a_time(X, y, 1, TreeConfig(max_features=3), 9)
+        )
+
+    def test_overflow_in_a_later_tree_raises(self):
+        """Row 0's target squares past the double range, so a tree whose
+        bootstrap holds it overflows its split scores; the first tree's
+        bootstrap misses it, a later one's does not."""
+        rs = np.random.RandomState(5)
+        X = rs.rand(30, 3)
+        y = rs.rand(30)
+        y[0] = 1e200
+
+        def overflows(seed, i):
+            rng = Xoshiro256StarStar(derive_seed(seed, i))
+            return 0 in rng.bootstrap_indices(30)
+
+        seed = next(s for s in range(100) if not overflows(s, 0) and overflows(s, 1))
+        assert repr(fit_bagging(X, y, 1, seed=seed).trees) == repr(
+            one_tree_at_a_time(X, y, 1, TreeConfig(), seed)
+        )
+        for fit in (fit_bagging, fit_random_forest):
+            with pytest.raises(NonFiniteSplit, match="^split scores overflowed or are NaN; "
+                               "rescale the target$"):
+                fit(X, y, n_estimators=4, seed=seed)
+
+
 # --------------------------------------------------------------------------
 # gradient boosting
 
@@ -498,14 +573,14 @@ class TestXgb:
         # oracle: leaf residuals [1, 1] with lambda 2 give
         # w = -G/(H + lambda) = 2/4 = 0.5
         pred = np.empty(2)
-        leaf = _grow_tree(
-            np.zeros((2, 1)),
+        (leaf,) = _grow_trees(
+            np.zeros((1, 2)),
             np.array([-1.0, -1.0]),
             TreeConfig(),
             2.0,
             0.0,
             True,
-            None,
+            [None],
             train_pred=pred,
         )
         assert isinstance(leaf, Leaf)

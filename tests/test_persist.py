@@ -1,10 +1,13 @@
 import ast
 import gc
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movierev import cli, models, persist, preprocess
 from movierev.dataset import FEATURE
@@ -537,6 +540,136 @@ class TestTreeNodes:
         assert str(err.value) == f"corrupt artifact at {where + suffix!r}: {reason}"
 
 
+def reference_tree(node) -> dict:
+    """The nested dicts the writer once built for a tree, one per node."""
+    if isinstance(node, models.Leaf):
+        return {"leaf": {"v": float(node.value), "n": int(node.n_samples)}}
+    return {
+        "split": {
+            "f": int(node.feature_index),
+            "t": float(node.threshold),
+            "l": reference_tree(node.left),
+            "r": reference_tree(node.right),
+        }
+    }
+
+
+def reference_text(artifact) -> str:
+    """``json.dumps`` of the artifact's whole document, built from nested
+    dicts: the reference the node-by-node writer must match."""
+    kind, model = artifact.model_kind, artifact.model
+    if kind == "linear":
+        payload = {
+            "coefficients": [float(c) for c in model.coefficients],
+            "intercept": float(model.intercept),
+            "used_ridge_fallback": bool(model.used_ridge_fallback),
+        }
+    elif kind == "tree":
+        payload = {"tree": reference_tree(model)}
+    else:
+        payload = {"trees": [reference_tree(t) for t in model.trees]}
+        if kind in ("bagging", "forest"):
+            payload["per_tree_seeds"] = [int(s) for s in model.per_tree_seeds]
+        else:
+            payload.update((name, float(getattr(model, name)))
+                           for name in persist._BOOSTING_FLOATS[kind])
+    doc = {
+        "format_version": int(artifact.format_version),
+        "created_utc": artifact.created_utc,
+        "pipeline": persist._encode_pipeline(artifact.pipeline),
+        "model_kind": persist._V1_KIND[kind],
+        "model_payload": payload,
+        "training_meta": persist._canon_meta(artifact.training_meta),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden.mrp.json"
+
+# floats whose spelling a writer gets wrong most easily
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e308, -1e308, 1 / 3]
+
+edge_trees = st.recursive(
+    st.builds(models.Leaf, st.sampled_from(EDGE_FLOATS), st.integers(0, 10**6)),
+    lambda children: st.builds(
+        models.Split, st.integers(0, 13), st.sampled_from(EDGE_FLOATS), children, children
+    ),
+    max_leaves=40,
+)
+
+
+class TestWriter:
+    """``dumps_canonical`` writes trees node by node; its text must equal
+    ``json.dumps`` of the nested dicts it replaced."""
+
+    @pytest.mark.parametrize("kind", models.KINDS)
+    def test_every_kind_matches_the_reference(self, kind, movies_table):
+        pipeline = preprocess.fit_pipeline(movies_table, scale=kind == "linear")
+        X, y = preprocess.transform(pipeline, movies_table)
+        params = {} if kind in ("linear", "tree") else {"n_estimators": 6}
+        model = models.fit_model(kind, X, y, params, seed=3)
+        artifact = make_artifact(pipeline, kind, model, seed=3, params={"a": 0.5, "b": None})
+        assert dumps_canonical(artifact) == reference_text(artifact)
+
+    def test_fixtures_match_the_reference(self, fitted):
+        for artifact in (fitted[0], load(GOLDEN)):
+            assert dumps_canonical(artifact) == reference_text(artifact)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(trees=st.lists(edge_trees, min_size=1, max_size=3), kind=st.sampled_from(
+        ["tree", "bagging", "forest", "gbm", "xgb"]))
+    def test_drawn_trees_match_the_reference(self, trees, kind):
+        pipeline = load(GOLDEN).pipeline
+        if kind == "tree":
+            model = trees[0]
+        elif kind in ("bagging", "forest"):
+            model = models.EnsembleModel(kind, trees, per_tree_seeds=list(range(len(trees))))
+        else:
+            model = models.EnsembleModel(kind, trees, learning_rate=1 / 3, init_value=-0.0,
+                                         reg_lambda=5e-324, reg_gamma=1e308)
+        artifact = make_artifact(pipeline, kind, model, seed=0)
+        assert dumps_canonical(artifact) == reference_text(artifact)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises_jsons_error(self, fitted, bad, tmp_path):
+        tree = models.Split(0, 0.5, models.Leaf(1.0, 1), models.Split(1, bad, models.Leaf(
+            2.0, 1), models.Leaf(3.0, 2)))
+        artifact = make_artifact(fitted[0].pipeline, "tree", tree, seed=0)
+        with pytest.raises(ValueError) as want:
+            reference_text(artifact)
+        with pytest.raises(ValueError) as got:
+            save(artifact, tmp_path / "bad.mrp.json")
+        assert str(got.value) == str(want.value)
+        assert not (tmp_path / "bad.mrp.json").exists()
+
+    def test_depth_limit(self, fitted, tmp_path):
+        """The deepest tree ``save`` accepts loads back; one level deeper,
+        in a later tree of a forest, is refused before the file opens."""
+        pipeline = fitted[0].pipeline
+        deepest = tmp_path / "deepest.mrp.json"
+        save(make_artifact(pipeline, "tree", split_chain(persist.MAX_TREE_DEPTH), seed=0), deepest)
+        assert tree_depth(load(deepest).model) == persist.MAX_TREE_DEPTH
+        forest = models.EnsembleModel(
+            "forest", [split_chain(3), split_chain(persist.MAX_TREE_DEPTH + 1)],
+            per_tree_seeds=[0, 1],
+        )
+        path = tmp_path / "deeper.mrp.json"
+        with pytest.raises(ArtifactError, match="nested too deep to save"):
+            save(make_artifact(pipeline, "forest", forest, seed=0), path)
+        assert not path.exists()
+
+
+def tree_depth(root) -> int:
+    """The most levels of splits above a leaf."""
+    depth, stack = 0, [(root, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if isinstance(node, models.Split):
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return depth
+
+
 class TestCollectorState:
     """The library leaves the cyclic garbage collector alone: saving,
     loading, fitting ensembles and an in-process ``cli.main`` run with the
@@ -580,14 +713,16 @@ class TestCollectorState:
         assert gc.isenabled() is caller_gc
         assert seen == [caller_gc]
 
-    @pytest.mark.parametrize("kind", ["forest", "gbm"])
-    def test_fit_model(self, caller_gc, kind, movies_table, monkeypatch):
+    @pytest.mark.parametrize("kind, calls", [("forest", 1), ("gbm", 3)], ids=["forest", "gbm"])
+    def test_fit_model(self, caller_gc, kind, calls, movies_table, monkeypatch):
+        """A forest grows its trees in one call of the grower, a booster
+        one call per stage."""
         X, y = preprocess.transform(preprocess.fit_pipeline(movies_table), movies_table)
         seen = []
-        self.record(monkeypatch, models, "_grow_tree", seen)
+        self.record(monkeypatch, models, "_grow_trees", seen)
         models.fit_model(kind, X, y, {"n_estimators": 3, "max_depth": 3}, seed=1)
         assert gc.isenabled() is caller_gc
-        assert seen == [caller_gc] * 3
+        assert seen == [caller_gc] * calls
 
     def test_cli_main_predict(self, caller_gc, fitted, movies_table, tmp_path, monkeypatch):
         seen = []

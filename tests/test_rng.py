@@ -108,3 +108,67 @@ def test_bootstrap_indices_shape_and_range():
     assert all(0 <= v < 40 for v in boot)
     # with replacement: overwhelmingly likely to repeat at least one index
     assert len(set(boot)) < 40
+
+
+class StepByStep:
+    """The drawing methods as their docstrings define them, on a stream
+    stepped one ``next_uint64`` call at a time."""
+
+    def __init__(self, seed):
+        self.rng = Xoshiro256StarStar(seed)
+
+    def randbelow(self, n):
+        limit = (1 << 64) - (1 << 64) % n
+        while True:
+            v = self.rng.next_uint64()
+            if v < limit:
+                return v % n
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    def sample_without_replacement(self, n, k):
+        idx = list(range(n))
+        for i in range(k):
+            j = i + self.randbelow(n - i)
+            idx[i], idx[j] = idx[j], idx[i]
+        return idx[:k]
+
+    def bootstrap_indices(self, n):
+        return [self.randbelow(n) for _ in range(n)]
+
+
+SEEDS = [0, 5, 99, 2**40 + 3, M64]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("call", [
+    lambda r: r.sample_without_replacement(14, 4),
+    lambda r: r.sample_without_replacement(30, 30),
+    lambda r: r.sample_without_replacement(1, 0),
+    lambda r: r.bootstrap_indices(144),
+    lambda r: r.bootstrap_indices(0),
+    lambda r: (lambda items: r.shuffle(items) or items)(list(range(57))),
+    lambda r: (lambda items: r.shuffle(items) or items)([7]),
+], ids=["sample-14-4", "sample-all", "sample-none", "bootstrap", "bootstrap-empty",
+        "shuffle", "shuffle-one"])
+def test_draws_equal_step_by_step_draws(seed, call):
+    """Each method, and the state it leaves, equal the same draws made
+    one ``next_uint64`` at a time."""
+    fast, slow = Xoshiro256StarStar(seed), StepByStep(seed)
+    for _ in range(3):
+        assert call(fast) == call(slow)
+    assert fast.next_uint64() == slow.rng.next_uint64()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rejected_draws_are_redrawn_in_stream_order(seed):
+    """A bound of 3 * 2**62 rejects a quarter of all outputs, and one just
+    above 2**32 takes the exact test; both must redraw as ``randbelow``
+    does and leave the stream where it would."""
+    bounds = [3 * 2**62] * 40 + [2**32 + 1, 2**32, 1, 2, 3 * 2**62, 7] * 5
+    fast, slow = Xoshiro256StarStar(seed), StepByStep(seed)
+    assert fast._below_each(bounds) == [slow.randbelow(b) for b in bounds]
+    assert fast.next_uint64() == slow.rng.next_uint64()
