@@ -16,11 +16,15 @@ the regularized booster with reg_lambda = reg_gamma = 0 coincide with
 plain gradient boosting.
 
 The grower sorts each feature column once per tree (stably, so equal
-values keep ascending row order) and hands every node its rows in that
+values keep ascending row order) and keeps every node's rows in that
 order, one index row per feature. A split partitions the parent's order
 into its two children with one boolean mask, which keeps each child's
 rows in the same order, so no node sorts again (the attribute lists of
-SPRINT, Shafer, Agrawal & Mehta, VLDB 1996).
+SPRINT, Shafer, Agrawal & Mehta, VLDB 1996). It grows all the trees of
+a bagging or forest ensemble in lockstep, and batches the split searches
+of many small nodes into one numpy pass, as XGBoost's exact greedy
+method gathers the statistics of many nodes in one scan over presorted
+columns (Chen & Guestrin, KDD 2016, section 4.1).
 
 Candidate thresholds are midpoints between consecutive distinct sorted
 feature values; rows with feature < threshold go left. Among equal-score
@@ -430,30 +434,26 @@ def _partition(XT, order, in_left, splits):
     """Split segments of ``order`` in place, each left rows first. A split
     is (start, size, left child's size, feature, threshold, whether its
     children may be searched); a row goes left when its feature value is
-    below the threshold. For a split whose children are never searched
-    only the ascending row is reordered. Small splits are partitioned
-    together, in chunks of one kind."""
+    below the threshold. Small splits are partitioned together, in
+    chunks; a split partitioned alone whose children are never searched
+    reorders only its ascending row."""
     p = order.shape[0] - 1
-    chunks = {True: [[]], False: [[]]}
-    cells = {True: 0, False: 0}
-    alone = []
+    chunks, chunk, cells, alone = [], [], 0, []
     for split in splits:
-        size, searchable = split[1], split[5]
+        size = split[1]
         if size > _ALONE_ROWS:
             alone.append(split)
             continue
-        cost = size * (p + 1 if searchable else 1)
-        if cells[searchable] + cost > _PARTITION_CELLS:
-            chunks[searchable].append([])
-            cells[searchable] = 0
-        chunks[searchable][-1].append(split)
-        cells[searchable] += cost
-    for searchable, parts in chunks.items():
-        for part in parts:
-            if len(part) > 1:
-                _partition_segments(XT, order, in_left, part, searchable)
-            else:
-                alone += part
+        if cells + size * (p + 1) > _PARTITION_CELLS:
+            chunks.append(chunk)
+            chunk, cells = [], 0
+        chunk.append(split)
+        cells += size * (p + 1)
+    for chunk in chunks + [chunk]:
+        if len(chunk) > 1:
+            _partition_segments(XT, order, in_left, chunk)
+        else:
+            alone += chunk
     for start, size, n_left, feature, threshold, searchable in alone:
         rows = order[p, start:start + size]
         go_left = XT[feature].take(rows) < threshold
@@ -469,22 +469,19 @@ def _partition(XT, order, in_left, splits):
         segment[:, n_left:] = rights.reshape(-1, size - n_left)
 
 
-def _partition_segments(XT, order, in_left, splits, searchable):
-    """:func:`_partition` of several splits of one kind at once."""
+def _partition_segments(XT, order, in_left, splits):
+    """:func:`_partition` of several splits at once, every row of each."""
     p = order.shape[0] - 1
     starts, sizes, n_left, feats, thresholds, _ = (np.array(c) for c in zip(*splits))
     offsets = np.cumsum(sizes) - sizes  # of each segment in ``pos``
     pos = np.arange(offsets[-1] + sizes[-1]) + np.repeat(starts - offsets, sizes)
     rows = order[p].take(pos)
-    go_left = XT.ravel().take(rows + np.repeat(feats * XT.shape[1], sizes)) < np.repeat(
+    in_left[rows] = XT.ravel().take(rows + np.repeat(feats * XT.shape[1], sizes)) < np.repeat(
         thresholds, sizes
     )
-    values = rows[None]
-    if searchable:
-        values = order.take(pos, axis=1)
-        in_left[rows] = go_left
-        go_left = in_left.take(values).ravel()
-        in_left[rows] = False
+    values = order.take(pos, axis=1)
+    go_left = in_left.take(values).ravel()
+    in_left[rows] = False
     # the lefts and rights of each segment come in segment order
     lefts_before = np.cumsum(n_left) - n_left
     to_left = np.arange(lefts_before[-1] + n_left[-1]) + np.repeat(
@@ -493,11 +490,10 @@ def _partition_segments(XT, order, in_left, splits, searchable):
     to_right = np.arange(pos.size - to_left.size) + np.repeat(
         starts + n_left - offsets + lefts_before, sizes - n_left
     )
-    target = order[0 if searchable else p:]
     values = values.ravel()
     lefts, rights = np.compress(go_left, values), np.compress(~go_left, values)
-    target[:, to_left] = lefts.reshape(len(target), -1)
-    target[:, to_right] = rights.reshape(len(target), -1)
+    order[:, to_left] = lefts.reshape(p + 1, -1)
+    order[:, to_right] = rights.reshape(p + 1, -1)
 
 
 def _tree_predict_matrix(tree, X):
