@@ -158,6 +158,11 @@ _ALONE_ROWS = 2**9
 _SEARCH_CELLS = 2**15
 _PARTITION_CELLS = 2**17
 
+# the most cells of bootstrap features and index rows (rows x (2
+# features + 1), 8 bytes each) that one lockstep call holds; a larger
+# ensemble grows in groups of trees
+_LOCKSTEP_CELLS = 2**23
+
 
 def _presort(XT):
     """The stable order of each row of ``XT`` (one row per feature), after
@@ -549,17 +554,20 @@ def _fit_bootstrap_ensemble(kind, X, y, n_estimators, config, seed):
     y = _as_vector(y, X.shape[0])
     if n_estimators < 1:
         raise ValueError("n_estimators must be >= 1")
-    n = X.shape[0]
+    n, p = X.shape
     seeds = [derive_seed(seed, i) for i in range(n_estimators)]
-    boots, rngs = [], []
-    for tree_seed in seeds:
-        rng = Xoshiro256StarStar(tree_seed)
-        boots += rng.bootstrap_indices(n)
-        rngs.append(Xoshiro256StarStar(rng.next_uint64()))
-    # tree i grows on the i-th block of n bootstrap rows
-    boot = np.array(boots, dtype=np.intp)
-    XT = np.ascontiguousarray(X.T.take(boot, axis=1))
-    trees = _grow_trees(XT, -y[boot], config, 0.0, 0.0, False, rngs)
+    group = max(1, _LOCKSTEP_CELLS // max(1, n * (2 * p + 1)))
+    trees = []
+    for first in range(0, n_estimators, group):
+        boots, rngs = [], []
+        for tree_seed in seeds[first:first + group]:
+            rng = Xoshiro256StarStar(tree_seed)
+            boots += rng.bootstrap_indices(n)
+            rngs.append(Xoshiro256StarStar(rng.next_uint64()))
+        # tree i of the group grows on the i-th block of n bootstrap rows
+        boot = np.array(boots, dtype=np.intp)
+        XT = np.ascontiguousarray(X.T.take(boot, axis=1))
+        trees += _grow_trees(XT, -y[boot], config, 0.0, 0.0, False, rngs)
     return EnsembleModel(kind=kind, trees=trees, per_tree_seeds=seeds)
 
 

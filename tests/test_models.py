@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from movierev import models
 from movierev.errors import (
     DimensionMismatch,
     ModelError,
@@ -482,6 +483,16 @@ class TestLockstep:
         assert repr(model.trees) == repr(
             one_tree_at_a_time(X, y, 1, TreeConfig(max_features=3), 9)
         )
+
+    @pytest.mark.parametrize("cells", [1, 2 * 120 * 15])
+    def test_groups_of_trees_equal_one_lockstep(self, cells, monkeypatch):
+        """An ensemble too big for one lockstep grows in groups of trees
+        (here of one and of two trees), with the same trees."""
+        _, X, y = next(lockstep_tables())
+        config = TreeConfig(max_features=3)
+        whole = fit_random_forest(X, y, 5, config, seed=8)
+        monkeypatch.setattr(models, "_LOCKSTEP_CELLS", cells)
+        assert repr(fit_random_forest(X, y, 5, config, seed=8).trees) == repr(whole.trees)
 
     def test_overflow_in_a_later_tree_raises(self):
         """Row 0's target squares past the double range, so a tree whose
