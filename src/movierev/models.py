@@ -332,13 +332,10 @@ def _best_splits(XT, g, order, nodes, totals, searched, feats, min_leaf, lam):
     """
     m = len(feats[0])
     out = [None] * len(searched)
-    small = []  # (width, k) of the nodes searched together
+    alone, small = [], []  # (padded width, index into ``searched``)
     for k, i in enumerate(searched):
         width = 1 << (nodes[i][1] - 1).bit_length()
-        if width * m > _ALONE_CELLS:
-            out[k] = _search_one(XT, g, order, nodes[i], totals[i], feats[k], min_leaf, lam)
-        else:
-            small.append((width, k))
+        (alone if width * m > _ALONE_CELLS else small).append((width, k))
     # chunks of nodes in ascending width, each padded to its widest
     small.sort()
     chunks, chunk = [], []
@@ -352,9 +349,7 @@ def _best_splits(XT, g, order, nodes, totals, searched, feats, min_leaf, lam):
         chunks.append((chunk_width, chunk))
     for width, chunk in chunks:
         if len(chunk) == 1:
-            k = chunk[0]
-            i = searched[k]
-            out[k] = _search_one(XT, g, order, nodes[i], totals[i], feats[k], min_leaf, lam)
+            alone.append((width, chunk[0]))
             continue
         starts = np.array([nodes[searched[k]][0] for k in chunk])
         sizes = np.array([nodes[searched[k]][1] for k in chunk])
@@ -377,6 +372,9 @@ def _best_splits(XT, g, order, nodes, totals, searched, feats, min_leaf, lam):
             thresholds[node, j, b].tolist(), (b + 1).tolist(),
         ):
             out[k] = _checked(best, feature, threshold, n_left)
+    for _, k in alone:
+        i = searched[k]
+        out[k] = _search_one(XT, g, order, nodes[i], totals[i], feats[k], min_leaf, lam)
     return out
 
 

@@ -126,11 +126,9 @@ class Xoshiro256StarStar:
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         idx = list(range(n))
-        i = 0
-        for r in self._below_each(range(n, n - k, -1)):
+        for i, r in enumerate(self._below_each(range(n, n - k, -1))):
             j = i + r
             idx[i], idx[j] = idx[j], idx[i]
-            i += 1
         return idx[:k]
 
     def bootstrap_indices(self, n: int) -> list[int]:
