@@ -6,8 +6,12 @@ for every kind, linear with ``--no-scale --no-log-money``, gbm and xgb
 with a grid file, bagging and forest with a grid over their tree
 options, xgb with ``--track-r2``; ``evaluate --out`` and
 ``predict`` on each artifact; ``summarize``; and two ``select-features``
-runs. Every file they write, and the stdout, stderr and exit code of each
-command, is hashed, with the working directory replaced by ``<dir>``.
+runs. One more table, 1,000 rows on seed 101 (key prefix ``101x1000``),
+gets ``select-features --expand`` alone: its view of about 2,200
+indicator columns spans many of the F scorer's column blocks, where a
+200-row table fits in one. Every file they write, and the stdout, stderr
+and exit code of each command, is hashed, with the working directory
+replaced by ``<dir>``.
 
 ``tests/test_output_digests.py`` compares the digests with the committed
 manifest ``tests/data/output_digests.json``, and runs three of the
@@ -35,6 +39,9 @@ from movierev.synthetic import synthetic_movies
 MANIFEST = pathlib.Path(__file__).resolve().parent / "data" / "output_digests.json"
 SEEDS = (101, 7)
 ROWS = 200
+# (seed, rows) of the table that only ``select-features --expand`` reads
+BLOCKS_TABLE = (101, 1000)
+BLOCKS_COMMAND = "select-features-expand"
 KINDS = ("linear", "tree", "bagging", "forest", "gbm", "xgb")
 GRID = {"n_estimators": [5, 10], "max_depth": [2, 3]}
 # the tree options a bagging or forest fit grows its trees under
@@ -87,6 +94,20 @@ def in_process(argv: list[str]) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def _run_and_hash(out, key, d, commands, names, run) -> None:
+    """Run the picked ``commands`` on the table in ``d``, then hash their
+    streams and every file under ``d`` into ``out``, keyed under ``key``."""
+    for name, argv in commands:
+        if names is not None and name not in names:
+            continue
+        code, stdout, stderr = run(argv)
+        out[f"{key}/{name}/stdout"] = _digest(stdout.encode(), d)
+        out[f"{key}/{name}/stderr"] = _digest(stderr.encode(), d)
+        out[f"{key}/{name}/exit"] = str(code)
+    for path in sorted(p for p in d.rglob("*") if p.is_file()):
+        out[f"{key}/{path.relative_to(d).as_posix()}"] = _digest(path.read_bytes(), d)
+
+
 def digests(workdir: pathlib.Path, seeds=SEEDS, names=None, run=in_process) -> dict[str, str]:
     """Every digest, keyed ``<seed>/<command>/<stream>`` and ``<seed>/<file>``.
     ``names``, when given, picks the commands to run; ``run`` runs one."""
@@ -102,15 +123,16 @@ def digests(workdir: pathlib.Path, seeds=SEEDS, names=None, run=in_process) -> d
         request = {c.name: table.column(c.name)[0] for c in table.schema if c.role == FEATURE}
         for kind in KINDS:
             (d / f"{kind}.request.json").write_text(json.dumps(request | {"model": kind}))
-        for name, argv in commands(d):
-            if names is not None and name not in names:
-                continue
-            code, stdout, stderr = run(argv)
-            out[f"{seed}/{name}/stdout"] = _digest(stdout.encode(), d)
-            out[f"{seed}/{name}/stderr"] = _digest(stderr.encode(), d)
-            out[f"{seed}/{name}/exit"] = str(code)
-        for path in sorted(p for p in d.rglob("*") if p.is_file()):
-            out[f"{seed}/{path.relative_to(d).as_posix()}"] = _digest(path.read_bytes(), d)
+        _run_and_hash(out, str(seed), d, commands(d), names, run)
+    if names is None or BLOCKS_COMMAND in names:
+        seed, rows = BLOCKS_TABLE
+        key = f"{seed}x{rows}"
+        d = pathlib.Path(workdir) / key
+        d.mkdir(parents=True)
+        write_csv(synthetic_movies(rows, seed=seed), d / "movies.csv")
+        argv = ["select-features", "--data", str(d / "movies.csv"), "--expand",
+                "--out", str(d / "fscores-expand.csv")]
+        _run_and_hash(out, key, d, [(BLOCKS_COMMAND, argv)], names, run)
     return out
 
 
