@@ -69,22 +69,37 @@ def summarize(table: DataTable) -> SummaryStats:
     return SummaryStats(out)
 
 
-def _centred(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """``v`` scaled by a power of two and centred, with its sum of squares:
-    all that r needs of one side. r is scale-free, so nothing is scaled
-    back."""
-    s = preprocess.scaled(v)[0]
-    d = s - np.mean(s)
-    return d, float(np.sum(d * d))
+# cells in one block of the F scorer: it holds at most this many cells of
+# the scored matrix at a time, however many columns there are
+_SCORE_CELLS = 2**16
+_add = np.add.reduce
 
 
-def _r(x, y) -> float:
-    """r of two sides prepared by :func:`_centred`."""
+def _centred(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a C-ordered (B, n) array scaled by a power of two and
+    centred, with its sum of squares: all that r needs of one side. r is
+    scale-free, so nothing is scaled back.
+
+    A row gets the bits its values would get as one column: the exponent
+    comes from the row maximum, and the mean and sum of squares reduce
+    along the contiguous axis, which sums each row pairwise exactly as
+    ``np.mean``/``np.sum`` sum the same values as a 1-D array."""
+    e = np.frexp(np.max(np.abs(rows), axis=1))[1]
+    d = np.ldexp(rows, -e[:, None])
+    d -= (_add(d, axis=1) / rows.shape[1])[:, None]
+    return d, _add(d * d, axis=1)
+
+
+def _r(x, y) -> np.ndarray:
+    """r of each row of ``x`` against the one row of ``y``, both prepared
+    by :func:`_centred`, clamped as ``max(-1.0, min(1.0, r))`` clamps; 0
+    where either side is constant."""
     (dx, sxx), (dy, syy) = x, y
-    if sxx == 0.0 or syy == 0.0:
-        raise ZeroVariance("correlation is undefined for a constant array")
-    r = float(np.sum(dx * dy)) / math.sqrt(sxx * syy)
-    return max(-1.0, min(1.0, r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = _add(dx * dy, axis=1) / np.sqrt(sxx * syy)
+    r = np.where(r < 1.0, r, 1.0)
+    r = np.where(r > -1.0, r, -1.0)
+    return np.where((sxx == 0.0) | (syy == 0.0), 0.0, r)
 
 
 def _vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -98,45 +113,101 @@ def _vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
 def pearson_r(x, y) -> float:
     """Product-moment correlation in [-1, 1]."""
     x, y = _vectors(x, y)
-    return _r(_centred(x), _centred(y))
+    x, y = _centred(x.reshape(1, -1)), _centred(y.reshape(1, -1))
+    if x[1][0] == 0.0 or y[1][0] == 0.0:
+        raise ZeroVariance("correlation is undefined for a constant array")
+    return float(_r(x, y)[0])
 
 
-def _f_scores(columns, y) -> list[float]:
-    """The F statistic of each column against ``y``, which is checked
-    against the first column and prepared by :func:`_centred` once."""
-    columns = [np.asarray(x, dtype=np.float64) for x in columns]
-    if columns[0].size < 3:
+class ExpandedView:
+    """The matrix of :func:`expand_categorical`, kept as label codes.
+
+    ``shape`` is (rows, columns); :meth:`column_rows` builds a run of its
+    columns as the rows of a C-ordered array, and ``np.asarray(view)``
+    builds the whole dense float64 matrix."""
+
+    def __init__(self, codes: np.ndarray, widths: list[int | None]):
+        self._codes = codes  # (features, rows): one row of codes per feature
+        self._widths = widths  # class count per categorical feature, None if numeric
+        self.shape = (codes.shape[1], sum(1 if w is None else w for w in widths))
+
+    def column_rows(self, start: int, stop: int) -> np.ndarray:
+        """Columns ``start`` to ``stop`` (exclusive) as the rows of a
+        C-ordered (stop - start, rows) float64 array."""
+        stop = min(stop, self.shape[1])
+        out = np.empty((stop - start, self.shape[0]))
+        first = 0
+        for code, width in zip(self._codes, self._widths):
+            last = first + (1 if width is None else width)
+            lo, hi = max(start, first), min(stop, last)
+            if lo < hi:
+                if width is None:
+                    out[lo - start] = code
+                else:
+                    classes = np.arange(lo - first, hi - first)[:, None]
+                    np.equal(code, classes, out=out[lo - start:hi - start])
+            first = last
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.column_rows(0, self.shape[1]).T.astype(dtype or np.float64, order="C")
+
+
+def _f_scores(features, y) -> list[float]:
+    """The F statistic of each column of ``features``, a 2-D array or an
+    :class:`ExpandedView`, against ``y``, which is prepared once.
+
+    Columns are scored as the rows of C-ordered blocks of
+    ``max(1, _SCORE_CELLS // n)`` columns, so the scorer holds a few
+    blocks at a time and never a transposed copy of the matrix. Each row
+    is prepared as the column alone would be (see :func:`_centred`), and
+    r, its clamp and F run in the order of the scalar formulas, so a
+    column's score has the same bits in any block."""
+    n, count = features.shape
+    if n < 3:
         raise TooFewRows("f_regression_score needs n >= 3")
-    target = _centred(_vectors(columns[0], y)[1])
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError("the target needs one value per row of the features")
+    target = _centred(y.reshape(1, -1))
+    step = max(1, _SCORE_CELLS // n)
     scores = []
-    for x in columns:
-        try:
-            r = _r(_centred(x), target)
-        except ZeroVariance:
-            r = 0.0
+    for start in range(0, count, step):
+        if isinstance(features, ExpandedView):
+            rows = features.column_rows(start, start + step)
+        else:
+            rows = np.ascontiguousarray(features[:, start:start + step].T)
+        r = _r(_centred(rows), target)
         r2 = r * r
-        scores.append(math.inf if r2 >= 1.0 else r2 / (1.0 - r2) * (x.size - 2))
+        with np.errstate(divide="ignore"):
+            f = r2 / (1.0 - r2) * (n - 2)
+        scores += np.where(r2 >= 1.0, math.inf, f).tolist()
     return scores
 
 
 def f_regression_score(x, y) -> float:
     """Univariate F statistic of x against y; 0 when either side is
     constant, +inf at perfect correlation."""
-    return _f_scores([x], y)[0]
+    return _f_scores(np.asarray(x, dtype=np.float64).reshape(-1, 1), y)[0]
 
 
-def select_k_best(features: np.ndarray, names: list[str], y, k: int) -> FScoreTable:
+def select_k_best(features, names: list[str], y, k: int) -> FScoreTable:
     """Score every feature column against the target and keep the top k.
 
+    ``features`` is a 2-D array or the :class:`ExpandedView` of
+    :func:`expand_categorical`. Columns are scored in blocks of
+    ``max(1, 2**16 // rows)`` at a time, each column exactly as it would
+    be scored alone, so the scores do not depend on the block size.
     Ties in score break by ascending column name; the returned entries
     are the full sorted scoreboard, not just the selected prefix.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != len(names):
+    if not isinstance(features, ExpandedView):
+        features = np.asarray(features, dtype=np.float64)
+    if len(features.shape) != 2 or features.shape[1] != len(names):
         raise ValueError("feature matrix and name list disagree")
     if not 1 <= k <= len(names):
         raise ValueError(f"k must be in 1..{len(names)}")
-    scores = list(zip(names, _f_scores((features[:, j] for j in range(len(names))), y)))
+    scores = list(zip(names, _f_scores(features, y)))
     scores.sort(key=lambda item: (-item[1], item[0]))
     return FScoreTable(entries=tuple(scores), k_selected=k)
 
@@ -147,26 +218,32 @@ def threshold_scores(table: FScoreTable, min_score: float) -> FScoreTable:
     return FScoreTable(entries=kept, k_selected=min(table.k_selected, len(kept)))
 
 
-def expand_categorical(table: DataTable) -> tuple[np.ndarray, list[str]]:
+def expand_categorical(table: DataTable) -> tuple[ExpandedView, list[str]]:
     """Indicator matrix with one 0/1 column per (column, category) pair,
     named ``column=category``; numeric feature columns pass through.
+
+    The matrix is returned as an :class:`ExpandedView` of the label codes:
+    ``np.asarray`` of it gives the dense matrix, and :func:`select_k_best`
+    builds its columns a block at a time (at most 2**16 cells each), so
+    scoring never holds the rows x categories matrix. Its indicator cells
+    are the comparisons ``code == class`` the dense matrix holds, so every
+    score has the bits it has on the dense matrix.
 
     Analysis-only view for per-category scoring; never fed to models.
     """
     features = [c for c in table.schema if c.role == FEATURE]
     encoder = preprocess.fit_encoders(table)
     encoded, _ = preprocess.encode_table(table, encoder, [c.name for c in features])
-    blocks, names = [], []
-    for c, col in zip(features, encoded.T):
-        col = col[:, None]
+    names, widths = [], []
+    for c in features:
         if c.kind == CATEGORICAL:
             classes = encoder.classes[c.name]
             names += [f"{c.name}={category}" for category in classes]
-            blocks.append(col == np.arange(len(classes)))
+            widths.append(len(classes))
         else:
             names.append(c.name)
-            blocks.append(col)
-    return np.hstack(blocks, dtype=np.float64), names
+            widths.append(None)
+    return ExpandedView(np.ascontiguousarray(encoded.T), widths), names
 
 
 def category_counts(table: DataTable, column: str) -> list[tuple[str, int]]:

@@ -538,18 +538,25 @@ def _as_vector(y, n_rows) -> np.ndarray:
     return y
 
 
-def fit_cart(X, y, config: TreeConfig | None = None, rng_seed: int = 0) -> TreeNode:
-    """Greedy CART regression tree minimizing weighted child SSE."""
+def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y of a tree fit, which needs at least one row."""
     X = _as_matrix(X)
     y = _as_vector(y, X.shape[0])
+    if y.size == 0:
+        raise TooFewRows("need at least one row to fit a model")
+    return X, y
+
+
+def fit_cart(X, y, config: TreeConfig | None = None, rng_seed: int = 0) -> TreeNode:
+    """Greedy CART regression tree minimizing weighted child SSE."""
+    X, y = _training_data(X, y)
     config = config or TreeConfig()
     XT = np.ascontiguousarray(X.T)
     return _grow_trees(XT, -y, config, 0.0, 0.0, False, [Xoshiro256StarStar(rng_seed)])[0]
 
 
 def _fit_bootstrap_ensemble(kind, X, y, n_estimators, config, seed):
-    X = _as_matrix(X)
-    y = _as_vector(y, X.shape[0])
+    X, y = _training_data(X, y)
     if n_estimators < 1:
         raise ValueError("n_estimators must be >= 1")
     n, p = X.shape
@@ -599,8 +606,7 @@ def _check_boost_config(config: TreeConfig) -> TreeConfig:
 
 
 def _fit_boosting(kind, X, y, n_estimators, learning_rate, config, lam, gamma):
-    X = _as_matrix(X)
-    y = _as_vector(y, X.shape[0])
+    X, y = _training_data(X, y)
     if n_estimators < 1:
         raise ValueError("n_estimators must be >= 1")
     if not 0.0 < learning_rate <= 1.0:

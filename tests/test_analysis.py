@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from movierev import analysis
 from movierev.analysis import (
     category_counts,
     expand_categorical,
@@ -14,7 +15,9 @@ from movierev.analysis import (
     threshold_scores,
 )
 from movierev.errors import BadBins, ZeroVariance
-from movierev.preprocess import fit_pipeline
+from movierev.dataset import CATEGORICAL, FEATURE
+from movierev.preprocess import encode_table, fit_encoders, fit_pipeline
+from movierev.synthetic import synthetic_movies
 from tests.conftest import tiny_table
 
 
@@ -284,8 +287,112 @@ def test_expand_categorical_names_and_values():
         {"genre": ["x", "y", "x"], "b": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]},
         kinds={"genre": "categorical"},
     )
-    matrix, names = expand_categorical(t)
+    view, names = expand_categorical(t)
+    matrix = np.asarray(view)
     assert names == ["genre=x", "genre=y", "b"]
     assert matrix[:, 0].tolist() == [1.0, 0.0, 1.0]
     assert matrix[:, 1].tolist() == [0.0, 1.0, 0.0]
     assert matrix[:, 2].tolist() == [1.0, 2.0, 3.0]
+
+
+def column_f_score(x, y):
+    """The per-column F score the block scorer replaced, kept as its
+    reference: scale by the power of two of max|v|, centre, r, clamp."""
+
+    def centred(v):
+        s = np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
+        d = s - np.mean(s)
+        return d, float(np.sum(d * d))
+
+    (dx, sxx), (dy, syy) = centred(x), centred(y)
+    r = 0.0
+    if sxx != 0.0 and syy != 0.0:
+        r = max(-1.0, min(1.0, float(np.sum(dx * dy)) / math.sqrt(sxx * syy)))
+    r2 = r * r
+    return math.inf if r2 >= 1.0 else r2 / (1.0 - r2) * (x.size - 2)
+
+
+def reference_scores(X, y):
+    return [column_f_score(X[:, j], np.asarray(y, dtype=np.float64)) for j in range(X.shape[1])]
+
+
+def dense_expansion(table):
+    """The dense matrix ``expand_categorical`` used to build, one hstack
+    of every feature's indicator (or numeric) columns."""
+    features = [c for c in table.schema if c.role == FEATURE]
+    encoder = fit_encoders(table)
+    encoded, _ = encode_table(table, encoder, [c.name for c in features])
+    blocks = []
+    for c, col in zip(features, encoded.T):
+        col = col[:, None]
+        if c.kind == CATEGORICAL:
+            blocks.append(col == np.arange(len(encoder.classes[c.name])))
+        else:
+            blocks.append(col)
+    return np.hstack(blocks, dtype=np.float64)
+
+
+class TestBlockScorerBits:
+    """The block scorer gives every column the bits of the per-column
+    formula, wherever the column falls in its block."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_column_counts_around_one_block(self, extra):
+        rs = np.random.RandomState(30 + extra)
+        n = 300
+        count = analysis._SCORE_CELLS // n + extra
+        X = rs.randn(n, count) * 10.0 ** rs.uniform(-70, 70, size=count)
+        y = rs.randn(n) * 1e5
+        X[:, 1] = 7.5  # constant: scores 0
+        X[:, 2] = 0.0
+        X[:, -1] = y  # equal to the target: +inf
+        X[:, 3] += 0.3 * y * (X[:, 3].std() / y.std())
+        got = analysis._f_scores(X, y)
+        assert got == reference_scores(X, y)
+        assert got[1] == got[2] == 0.0 and got[-1] == math.inf
+
+    def test_constant_target_scores_zero(self):
+        X = np.random.RandomState(31).randn(40, 5)
+        assert analysis._f_scores(X, np.full(40, 3.0)) == [0.0] * 5 == reference_scores(
+            X, np.full(40, 3.0)
+        )
+
+    @pytest.mark.parametrize("low, high", [(-70, -30), (-20, 20), (30, 70)])
+    def test_magnitudes(self, low, high):
+        rs = np.random.RandomState(32)
+        for _ in range(10):
+            m = random_matrix(rs, low, high)
+            m[:, 1] += 0.5 * m[:, 0] * (m[:, 1].std() / m[:, 0].std())
+            y = m[:, 0] * 10.0 ** rs.uniform(low, high) + rs.randn(len(m)) * m[:, 0].std()
+            assert analysis._f_scores(m, y) == reference_scores(m, y)
+
+    def test_more_rows_than_one_reduction_buffer(self):
+        """Past 8,192 rows a buffered reduction would sum in chunks; the
+        rows of a block are summed whole, like the 1-D column."""
+        rs = np.random.RandomState(33)
+        n = 10_007
+        X = rs.randn(n, analysis._SCORE_CELLS // n + 3) * 1e3 + 1e6
+        y = X[:, 0] * 0.01 + rs.randn(n)
+        assert analysis._f_scores(X, y) == reference_scores(X, y)
+
+    def test_expanded_view_is_the_dense_matrix_and_scores_like_it(self):
+        table = synthetic_movies(400, seed=5)
+        view, names = expand_categorical(table)
+        dense = dense_expansion(table)
+        matrix = np.asarray(view)
+        assert view.shape == dense.shape == (400, len(names))
+        assert matrix.dtype == np.float64 and np.array_equal(matrix, dense)
+        for step in (1, 7, analysis._SCORE_CELLS // 400):
+            for start in range(0, len(names), step):
+                block = view.column_rows(start, start + step)
+                assert block.flags.c_contiguous
+                assert np.array_equal(block, dense[:, start:start + step].T)
+        y = table.column("gross")
+        got = select_k_best(view, names, y, 5)
+        assert dict(got.entries) == dict(zip(names, reference_scores(dense, y)))
+        assert got == select_k_best(dense, names, y, 5)
+
+    def test_f_regression_score_is_the_reference(self):
+        rs = np.random.RandomState(34)
+        x, y = rs.randn(50), rs.randn(50)
+        assert f_regression_score(x, y) == column_f_score(x, y)

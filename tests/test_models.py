@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from movierev.errors import (
     NonFiniteResult,
     NonFiniteSplit,
     SingularAfterRidge,
+    TooFewRows,
 )
 from movierev.models import (
     EnsembleModel,
@@ -685,6 +687,16 @@ class TestFitModelDispatch:
         for kind in ("linear", "tree", "bagging", "forest", "gbm", "xgb"):
             model = fit_model(kind, X, y, {"n_estimators": 3} if kind not in ("linear", "tree") else {}, seed=1)
             assert predict(model, X).shape == (30,)
+
+    @pytest.mark.parametrize("kind", ["tree", "bagging", "forest", "gbm", "xgb"])
+    def test_no_rows_is_too_few_rows(self, kind):
+        """A tree's leaf value divided by zero rows (ZeroDivisionError), and
+        xgb returned an init_value of NaN after numpy warned."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TooFewRows):
+                fit_model(kind, np.zeros((0, 3)), np.zeros(0))
+        assert caught == []
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
