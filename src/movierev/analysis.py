@@ -47,26 +47,20 @@ def summarize(table: DataTable) -> SummaryStats:
     """Central tendency and spread for every numeric column.
 
     Quartiles use linear interpolation between order statistics; the
-    standard deviation is the population (1/n) convention.
+    standard deviation is the population (1/n) convention. All columns
+    go through :func:`preprocess.centred_rows` at once, as the rows of
+    one array: each statistic is computed on the column scaled by a power
+    of two and scaled back, so it is finite for any finite cells.
     """
-    out = {}
-    for c in table.schema:
-        if c.kind != NUMERIC:
-            continue
-        col = np.asarray(table.column(c.name), dtype=np.float64)
-        mean, std = preprocess.mean_and_std(col)
-        s, e = preprocess.scaled(col)
-        q1, med, q3 = np.ldexp(np.quantile(s, [0.25, 0.5, 0.75]), e)
-        out[c.name] = ColumnStats(
-            mean=mean,
-            median=float(med),
-            stddev=std,
-            min=float(np.min(col)),
-            max=float(np.max(col)),
-            q1=float(q1),
-            q3=float(q3),
-        )
-    return SummaryStats(out)
+    names = [c.name for c in table.schema if c.kind == NUMERIC]
+    rows = np.array([table.column(name) for name in names], dtype=np.float64)
+    rows = rows.reshape(len(names), table.row_count)
+    _, mean, ss, e = preprocess.centred_rows(rows)
+    quartiles = np.quantile(np.ldexp(rows, -e[:, None]), [0.25, 0.5, 0.75], axis=1)
+    q1, med, q3 = np.ldexp(quartiles, e)
+    stds = np.ldexp(np.sqrt(ss / rows.shape[1]), e)
+    columns = zip(np.ldexp(mean, e), med, stds, np.min(rows, axis=1), np.max(rows, axis=1), q1, q3)
+    return SummaryStats({name: ColumnStats(*map(float, c)) for name, c in zip(names, columns)})
 
 
 # cells in one block of the F scorer: it holds at most this many cells of
@@ -75,26 +69,11 @@ _SCORE_CELLS = 2**16
 _add = np.add.reduce
 
 
-def _centred(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of a C-ordered (B, n) array scaled by a power of two and
-    centred, with its sum of squares: all that r needs of one side. r is
-    scale-free, so nothing is scaled back.
-
-    A row gets the bits its values would get as one column: the exponent
-    comes from the row maximum, and the mean and sum of squares reduce
-    along the contiguous axis, which sums each row pairwise exactly as
-    ``np.mean``/``np.sum`` sum the same values as a 1-D array."""
-    e = np.frexp(np.max(np.abs(rows), axis=1))[1]
-    d = np.ldexp(rows, -e[:, None])
-    d -= (_add(d, axis=1) / rows.shape[1])[:, None]
-    return d, _add(d * d, axis=1)
-
-
-def _r(x, y) -> np.ndarray:
-    """r of each row of ``x`` against the one row of ``y``, both prepared
-    by :func:`_centred`, clamped as ``max(-1.0, min(1.0, r))`` clamps; 0
-    where either side is constant."""
-    (dx, sxx), (dy, syy) = x, y
+def _r(dx, sxx, dy, syy) -> np.ndarray:
+    """r of each row of ``dx`` against the one row of ``dy``, each side
+    with its sums of squares as :func:`preprocess.centred_rows` returns
+    them, clamped as ``max(-1.0, min(1.0, r))`` clamps; 0 where either
+    side is constant. r is scale-free, so nothing is scaled back."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r = _add(dx * dy, axis=1) / np.sqrt(sxx * syy)
     r = np.where(r < 1.0, r, 1.0)
@@ -113,10 +92,11 @@ def _vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
 def pearson_r(x, y) -> float:
     """Product-moment correlation in [-1, 1]."""
     x, y = _vectors(x, y)
-    x, y = _centred(x.reshape(1, -1)), _centred(y.reshape(1, -1))
-    if x[1][0] == 0.0 or y[1][0] == 0.0:
+    dx, _, sxx, _ = preprocess.centred_rows(x.reshape(1, -1))
+    dy, _, syy, _ = preprocess.centred_rows(y.reshape(1, -1))
+    if sxx[0] == 0.0 or syy[0] == 0.0:
         raise ZeroVariance("correlation is undefined for a constant array")
-    return float(_r(x, y)[0])
+    return float(_r(dx, sxx, dy, syy)[0])
 
 
 class ExpandedView:
@@ -160,16 +140,16 @@ def _f_scores(features, y) -> list[float]:
     Columns are scored as the rows of C-ordered blocks of
     ``max(1, _SCORE_CELLS // n)`` columns, so the scorer holds a few
     blocks at a time and never a transposed copy of the matrix. Each row
-    is prepared as the column alone would be (see :func:`_centred`), and
-    r, its clamp and F run in the order of the scalar formulas, so a
-    column's score has the same bits in any block."""
+    is prepared by :func:`preprocess.centred_rows` as the column alone
+    would be, and r, its clamp and F run in the order of the scalar
+    formulas, so a column's score has the same bits in any block."""
     n, count = features.shape
     if n < 3:
         raise TooFewRows("f_regression_score needs n >= 3")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (n,):
         raise ValueError("the target needs one value per row of the features")
-    target = _centred(y.reshape(1, -1))
+    dy, _, syy, _ = preprocess.centred_rows(y.reshape(1, -1))
     step = max(1, _SCORE_CELLS // n)
     scores = []
     for start in range(0, count, step):
@@ -177,7 +157,8 @@ def _f_scores(features, y) -> list[float]:
             rows = features.column_rows(start, start + step)
         else:
             rows = np.ascontiguousarray(features[:, start:start + step].T)
-        r = _r(_centred(rows), target)
+        dx, _, sxx, _ = preprocess.centred_rows(rows)
+        r = _r(dx, sxx, dy, syy)
         r2 = r * r
         with np.errstate(divide="ignore"):
             f = r2 / (1.0 - r2) * (n - 2)
@@ -196,10 +177,12 @@ def select_k_best(features, names: list[str], y, k: int) -> FScoreTable:
 
     ``features`` is a 2-D array or the :class:`ExpandedView` of
     :func:`expand_categorical`. Columns are scored in blocks of
-    ``max(1, 2**16 // rows)`` at a time, each column exactly as it would
-    be scored alone, so the scores do not depend on the block size.
-    Ties in score break by ascending column name; the returned entries
-    are the full sorted scoreboard, not just the selected prefix.
+    ``max(1, 2**16 // rows)`` at a time, through
+    :func:`preprocess.centred_rows`, the scaling that also fits the
+    pipeline's scaler. Each column is scored exactly as it would be
+    alone, so the scores do not depend on the block size. Ties in score
+    break by ascending column name; the returned entries are the full
+    sorted scoreboard, not just the selected prefix.
     """
     if not isinstance(features, ExpandedView):
         features = np.asarray(features, dtype=np.float64)

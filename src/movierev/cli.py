@@ -400,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite result is refused by an explicit check, with
+        # its exit code; numpy's floating-point warnings would only add
+        # lines to stderr before that check's message
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

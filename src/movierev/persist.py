@@ -105,17 +105,22 @@ MAX_TREE_DEPTH = 400
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _object(fields: dict) -> str:
-    """The canonical JSON object of ``fields``, whose values are already
-    canonical JSON text."""
-    return "{" + ",".join(f"{_dumps(k)}:{v}" for k, v in sorted(fields.items())) + "}"
+def _object(fields: dict) -> list[str]:
+    """The canonical JSON object of ``fields`` as pieces of text to join;
+    each value is a list of such pieces."""
+    pieces = ["{"]
+    for key, value in sorted(fields.items()):
+        pieces += [("," if len(pieces) > 1 else "") + _dumps(key) + ":", *value]
+    return pieces + ["}"]
 
 
 def _tree_texts(trees) -> list[str]:
     """The canonical JSON text of each of ``trees``, written node by node
     without recursion, exactly as ``_dumps`` writes the tagged nested
     objects: keys in sorted order (leaf ``n``, ``v``; split ``f``,
-    ``l``, ``r``, ``t``), floats by ``float.__repr__``.
+    ``l``, ``r``, ``t``), floats by ``float.__repr__``. Every text after
+    the first starts with a comma, so the texts join to the items of a
+    JSON array.
 
     A tree with more than ``MAX_TREE_DEPTH`` levels of splits raises
     ``ArtifactError``. A non-finite float raises ``_dumps``' own
@@ -123,7 +128,7 @@ def _tree_texts(trees) -> list[str]:
     texts = []
     bad = []
     for tree in trees:
-        parts = []
+        parts = [","] if texts else []
         stack = [(tree, 0)]  # text to write, or (node, depth); the next item last
         while stack:
             item = stack.pop()
@@ -153,20 +158,23 @@ def _tree_texts(trees) -> list[str]:
     return texts
 
 
-def _encode_model(kind: str, model) -> str:
+def _encode_model(kind: str, model) -> list[str]:
+    """The model payload as pieces of text to join, each tree's text one
+    piece of its own."""
     if kind == KIND_LINEAR:
-        return _dumps({
+        return [_dumps({
             "coefficients": [float(c) for c in model.coefficients],
             "intercept": float(model.intercept),
             "used_ridge_fallback": bool(model.used_ridge_fallback),
-        })
+        })]
     if kind == KIND_TREE:
-        return _object({"tree": _tree_texts([model])[0]})
-    fields = {"trees": "[" + ",".join(_tree_texts(model.trees)) + "]"}
+        return _object({"tree": _tree_texts([model])})
+    fields = {"trees": ["[", *_tree_texts(model.trees), "]"]}
     if kind in (KIND_BAGGING, KIND_FOREST):
-        fields["per_tree_seeds"] = _dumps([int(s) for s in model.per_tree_seeds])
+        fields["per_tree_seeds"] = [_dumps([int(s) for s in model.per_tree_seeds])]
     else:
-        fields.update((name, _dumps(float(getattr(model, name)))) for name in _BOOSTING_FLOATS[kind])
+        for name in _BOOSTING_FLOATS[kind]:
+            fields[name] = [_dumps(float(getattr(model, name)))]
     return _object(fields)
 
 
@@ -188,22 +196,29 @@ def _encode_pipeline(p: Pipeline) -> dict:
     }
 
 
-def dumps_canonical(artifact: ModelArtifact) -> str:
-    """The canonical v1 text of ``artifact``: what ``json.dumps`` with
-    sorted keys and no spaces writes for its document, and a newline."""
+def _document_pieces(artifact: ModelArtifact) -> list[str]:
+    """The canonical v1 text of ``artifact`` as pieces to join: what
+    ``json.dumps`` with sorted keys and no spaces writes for its
+    document, and a newline. Every check runs before this returns."""
     kind = artifact.model_kind
     if kind not in _V1_KIND:
         raise ValueError(f"unknown model kind {kind!r}")
     # the model first: a tree too deep fails before any other field
     payload = _encode_model(kind, artifact.model)
     return _object({
-        "format_version": _dumps(int(artifact.format_version)),
-        "created_utc": _dumps(artifact.created_utc),
-        "pipeline": _dumps(_encode_pipeline(artifact.pipeline)),
-        "model_kind": _dumps(_V1_KIND[kind]),
+        "format_version": [_dumps(int(artifact.format_version))],
+        "created_utc": [_dumps(artifact.created_utc)],
+        "pipeline": [_dumps(_encode_pipeline(artifact.pipeline))],
+        "model_kind": [_dumps(_V1_KIND[kind])],
         "model_payload": payload,
-        "training_meta": _dumps(_canon_meta(artifact.training_meta)),
-    }) + "\n"
+        "training_meta": [_dumps(_canon_meta(artifact.training_meta))],
+    }) + ["\n"]
+
+
+def dumps_canonical(artifact: ModelArtifact) -> str:
+    """The canonical v1 text of ``artifact``, which :func:`save` writes
+    as UTF-8."""
+    return "".join(_document_pieces(artifact))
 
 
 def _canon_meta(meta: dict) -> dict:
@@ -222,10 +237,14 @@ def _canon_meta(meta: dict) -> dict:
 
 def save(artifact: ModelArtifact, path) -> None:
     """Write the canonical bytes; a tree with more than ``MAX_TREE_DEPTH``
-    levels of splits raises ``ArtifactError`` before the file is opened."""
-    data = dumps_canonical(artifact).encode("utf-8")
+    levels of splits raises ``ArtifactError`` before the file is opened.
+    The text is written piece by piece, so no copy of the whole document
+    is made: besides the trees' own text, ``save`` holds one tree's bytes
+    at a time."""
+    pieces = _document_pieces(artifact)
     with open(path, "wb") as fh:
-        fh.write(data)
+        for piece in pieces:
+            fh.write(piece.encode("utf-8"))
 
 
 # --------------------------------------------------------------------------
@@ -290,52 +309,50 @@ def _expect_choice(mapping, key, choices, path):
 
 
 def _decode_node(doc, n_features, step):
-    """Decode one tagged tree node and its subtree. Every split's ``f``
-    must fall in ``range(n_features)`` of the pipeline schema. ``step`` is
-    the node's path: the whole path at a root, ``.split.l`` or
-    ``.split.r`` below it.
+    """Decode one tagged tree node and its subtree: the one v1 node
+    decoder. Every split's ``f`` must fall in ``range(n_features)`` of
+    the pipeline schema. ``step`` is the node's path: the whole path at a
+    root, ``.split.l`` or ``.split.r`` below it.
 
-    A node whose fields have their exact JSON classes and legal values is
-    built at once, and no path is built for it. Any other node is checked
-    field by field at paths relative to itself: that takes a JSON integer
-    in a float field, or raises ``CorruptArtifact``, which each level it
-    passes prefixes with its step."""
+    A field with its exact JSON class and a legal value is taken as it
+    is, and no path is built for it. Any other field is checked alone by
+    :func:`_expect`, at a path relative to the node: that takes a JSON
+    integer in a float field, or raises ``CorruptArtifact``, which each
+    level it passes prefixes with its step. Fields are checked in the
+    order ``v``, ``n`` and ``f``, ``t``, ``l``, ``r``, and the left
+    subtree is decoded before ``r`` is checked."""
     try:
-        if doc.__class__ is dict and len(doc) == 1:
-            body = doc.get("leaf")
-            if body.__class__ is dict:
-                v, n = body.get("v"), body.get("n")
-                if v.__class__ is float and math.isfinite(v) and n.__class__ is int and n >= 0:
-                    return Leaf(v, n)
-            body = doc.get("split")
-            if body.__class__ is dict:
-                f, t, left, right = body.get("f"), body.get("t"), body.get("l"), body.get("r")
-                if (
-                    f.__class__ is int and 0 <= f < n_features
-                    and t.__class__ is float and math.isfinite(t)
-                    and left.__class__ is dict and right.__class__ is dict
-                ):
-                    left = _decode_node(left, n_features, ".split.l")
-                    return Split(f, t, left, _decode_node(right, n_features, ".split.r"))
         if not isinstance(doc, dict) or len(doc) != 1:
             raise CorruptArtifact("", "tree node must have exactly one tag")
         if "leaf" in doc:
-            value = _expect(doc["leaf"], "v", float, ".leaf")
-            n = _expect(doc["leaf"], "n", int, ".leaf")
-            if n < 0:
-                raise CorruptArtifact(".leaf.n", f"negative row count {n}")
-            return Leaf(value=value, n_samples=n)
+            body = doc["leaf"]
+            v = body.get("v") if body.__class__ is dict else None
+            if v.__class__ is not float or v - v != 0.0:  # not a finite float
+                v = _expect(body, "v", float, ".leaf")
+            n = body.get("n")
+            if n.__class__ is not int or n < 0:
+                n = _expect(body, "n", int, ".leaf")
+                if n < 0:
+                    raise CorruptArtifact(".leaf.n", f"negative row count {n}")
+            return Leaf(v, n)
         if "split" in doc:
             body = doc["split"]
-            f = _expect(body, "f", int, ".split")
-            if f not in range(n_features):
-                raise CorruptArtifact(".split.f", f"feature index {f} outside [0, {n_features})")
-            return Split(
-                feature_index=f,
-                threshold=_expect(body, "t", float, ".split"),
-                left=_decode_node(_expect(body, "l", dict, ".split"), n_features, ".split.l"),
-                right=_decode_node(_expect(body, "r", dict, ".split"), n_features, ".split.r"),
-            )
+            f = body.get("f") if body.__class__ is dict else None
+            if f.__class__ is not int or not 0 <= f < n_features:
+                f = _expect(body, "f", int, ".split")
+                if f not in range(n_features):
+                    raise CorruptArtifact(".split.f", f"feature index {f} outside [0, {n_features})")
+            t = body.get("t")
+            if t.__class__ is not float or t - t != 0.0:
+                t = _expect(body, "t", float, ".split")
+            child = body.get("l")
+            if child.__class__ is not dict:
+                child = _expect(body, "l", dict, ".split")
+            left = _decode_node(child, n_features, ".split.l")
+            child = body.get("r")
+            if child.__class__ is not dict:
+                child = _expect(body, "r", dict, ".split")
+            return Split(f, t, left, _decode_node(child, n_features, ".split.r"))
         raise CorruptArtifact("", "unknown tree node tag")
     except CorruptArtifact as fault:
         raise CorruptArtifact(step + fault.field_path, fault.reason) from None

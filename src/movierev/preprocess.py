@@ -13,7 +13,6 @@ training rows only; transforming other tables never mutates the pipeline.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -106,22 +105,23 @@ def encode_table(
     return matrix, warnings
 
 
-def scaled(col: np.ndarray) -> tuple[np.ndarray, int]:
-    """(col * 2**-e, e), with e the binary exponent of max|col|, so every
-    scaled cell lies in (-1, 1). Sums, squares and quantiles of the scaled
-    column cannot overflow, and since scaling by a power of two is exact,
-    a statistic computed on it and scaled back with ``np.ldexp(stat, e)``
-    has the bits of the plain expression wherever that stays in range."""
-    e = math.frexp(float(np.max(np.abs(col))))[1]
-    return np.ldexp(col, -e), e
+def centred_rows(rows: np.ndarray):
+    """(d, mean, ss, e) for a C-ordered (k, n) array of k rows of n values:
+    row i is scaled by 2**-e[i], with e[i] the binary exponent of its
+    largest magnitude, so every scaled value lies in (-1, 1); d holds the
+    scaled rows centred on their scaled means ``mean``, and ss their sums
+    of squares. Nothing here can overflow, and scaling by a power of two
+    is exact, so a statistic scaled back with ``np.ldexp(stat, e)`` has
+    the bits of the plain expression wherever that stays in range.
 
-
-def mean_and_std(col: np.ndarray) -> tuple[float, float]:
-    """Mean and population (1/n) standard deviation of a column."""
-    s, e = scaled(col)
-    mean = np.mean(s)
-    std = np.sqrt(np.mean((s - mean) ** 2))
-    return float(np.ldexp(mean, e)), float(np.ldexp(std, e))
+    Means and sums reduce along the contiguous axis, which sums each row
+    pairwise exactly as ``np.mean``/``np.sum`` sum it as a 1-D array: a
+    row's results do not depend on the other rows of the block."""
+    e = np.frexp(np.max(np.abs(rows), axis=1))[1]
+    d = np.ldexp(rows, -e[:, None])
+    mean = np.add.reduce(d, axis=1) / rows.shape[1]
+    d -= mean[:, None]
+    return d, mean, np.add.reduce(d * d, axis=1), e
 
 
 def log1p_transform(values) -> np.ndarray:
@@ -155,7 +155,9 @@ def fit_pipeline(table: DataTable, scale: bool = True, log_money: bool = True) -
     if scale:
         names = [c.name for c in table.schema if c.role == FEATURE]
         matrix, _ = _encode_log(table, encoder, names, log_money)
-        means, stds = zip(*(mean_and_std(col) for col in matrix.T))
+        _, mean, ss, e = centred_rows(np.ascontiguousarray(matrix.T))
+        means = np.ldexp(mean, e).tolist()
+        stds = np.ldexp(np.sqrt(ss / matrix.shape[0]), e).tolist()
         scaler = ScalerParams(dict(zip(names, means)), dict(zip(names, stds)))
     return Pipeline(
         encoder=encoder,

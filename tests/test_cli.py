@@ -168,11 +168,13 @@ class TestTrain:
         gross = 1e165 * (1.0 + np.arange(movies_table.row_count))
         data = edited_csv(tmp_path, movies_table, gross=gross)
         out = tmp_path / "m.mrp.json"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run(
                 "train", "--data", str(data), "--model", "tree", "--no-log-money",
                 "--out", str(out),
             )
+        assert [str(w.message) for w in caught] == []
         assert code == 4
         assert "model error" in capsys.readouterr().err
         assert not out.exists()
@@ -207,6 +209,25 @@ class TestTrain:
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.startswith("model error:") and "rescale the features" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["linear", "tree", "bagging", "forest", "xgb", "gbm"])
+    def test_overflowing_target_prints_one_line(self, tmp_path, model):
+        """A gross of 1e308 in every row exits 4 for every kind; numpy
+        printed two to four ``RuntimeWarning`` lines (from the target
+        mean, the boosting sum, ``A.T @ y`` and the metric sums) before
+        the "model error" line."""
+        table = synthetic_movies(200, seed=3)
+        data = edited_csv(tmp_path, table, gross=np.full(200, 1e308))
+        out = tmp_path / "m.mrp.json"
+        proc = run_python(
+            ["-m", "movierev.cli", "train", "--data", str(data), "--model", model,
+             "--no-log-money", "--out", str(out)],
+            timeout=30,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("model error:")
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr, proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", [False, True])
@@ -252,11 +273,13 @@ class TestTrain:
         data = edited_csv(tmp_path, movies_table, gross=gross)
         out = tmp_path / "out" / "m.mrp.json"
         out.parent.mkdir()
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run(
                 "train", "--data", str(data), "--model", "linear", "--no-log-money",
                 "--out", str(out),
             )
+        assert [str(w.message) for w in caught] == []
         assert code == 4
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.startswith("model error:") and "not finite" in err

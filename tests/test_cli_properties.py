@@ -13,6 +13,13 @@ gives a feature whose r**2 rounds to 1.
 A ``predict`` request file for the golden artifact with one field
 replaced by an odd JSON value, or with a leading byte-order mark, is
 predicted (exit 0) or refused as a data error (exit 3), never raised.
+
+An artifact (the golden one, or a small linear or forest one) with some
+of its numbers set to legal but extreme values (leaf values, split
+thresholds, ``init_value``, coefficients, intercept, scaler means and
+standard deviations), and ``log_target`` either way, is predicted and
+evaluated with a finite result (exit 0) or refused with exit 4 or 5 and
+one line on stderr. No numpy warning is recorded on any path.
 """
 
 import contextlib
@@ -21,12 +28,13 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from movierev import models, persist, preprocess
 from movierev.cli import main
 from movierev.dataset import FEATURE, MOVIE_SCHEMA, NUMERIC, write_csv
 from movierev.synthetic import synthetic_movies
@@ -42,9 +50,13 @@ NON_FINITE = ("inf", "-Infinity", "1e400")
 
 
 def run_quietly(argv) -> int:
+    """``main(argv)`` with its output dropped; no warning may be recorded."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        with np.errstate(all="ignore"):
-            return main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert [str(w.message) for w in caught] == [], argv
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -172,5 +184,109 @@ def test_odd_request_field_exits_zero_or_three(tmp_path):
             expected = 0 if categorical else 3
         argv = ["predict", "--artifact", str(GOLDEN), "--input", str(req_path)]
         assert run_quietly(argv) == expected, (field, value)
+
+    check()
+
+
+# legal JSON numbers at the edges of the double range
+EXTREMES = (1e308, -1e308, 1e300, -1e300, 1e6, -1e6, 5e-324, -0.0)
+
+
+def value_slots(doc) -> dict[str, list[tuple[object, object]]]:
+    """(container, key) of each number the value test may set, grouped
+    by field: every leaf ``v``, split ``t``, and the model's and the
+    scaler's floats."""
+    slots = {"v": [], "t": []}
+    payload = doc["model_payload"]
+    stack = [payload["tree"]] if "tree" in payload else list(payload.get("trees", []))
+    while stack:
+        node = stack.pop()
+        if "leaf" in node:
+            slots["v"].append((node["leaf"], "v"))
+        else:
+            slots["t"].append((node["split"], "t"))
+            stack += [node["split"]["l"], node["split"]["r"]]
+    if "init_value" in payload:
+        slots["init_value"] = [(payload, "init_value")]
+    if "coefficients" in payload:
+        slots["coefficients"] = [(payload["coefficients"], i)
+                                 for i in range(len(payload["coefficients"]))]
+        slots["intercept"] = [(payload, "intercept")]
+    scaler = doc["pipeline"]["scaler"]
+    for stat in ("means", "stds") if scaler else ():
+        slots[stat] = [(scaler[stat], name) for name in sorted(scaler[stat])]
+    return {group: found for group, found in slots.items() if found}
+
+
+@pytest.fixture(scope="module")
+def value_workdir(tmp_path_factory):
+    """A directory with a small CSV, and the JSON documents of the golden
+    artifact and of a linear and a forest artifact trained on it."""
+    path = tmp_path_factory.mktemp("valueprop")
+    table = synthetic_movies(ROWS, seed=6)
+    write_csv(table, path / "data.csv")
+    docs = {"gbm": json.loads(GOLDEN.read_text(encoding="utf-8"))}
+    for kind in ("linear", "forest"):
+        pipeline = preprocess.fit_pipeline(table, scale=kind == "linear")
+        X, y = preprocess.transform(pipeline, table)
+        model = models.fit_model(kind, X, y, {"n_estimators": 3, "max_depth": 3}, seed=2)
+        artifact = persist.make_artifact(pipeline, kind, model, seed=2)
+        docs[kind] = json.loads(persist.dumps_canonical(artifact))
+    return path, docs
+
+
+def printed_numbers_are_finite(out: str) -> bool:
+    """Every number ``predict`` or ``evaluate`` printed is finite."""
+    if out.startswith("predicted gross"):
+        return math.isfinite(float(out.split(":")[1].replace(",", "")))
+    row = out.splitlines()[1].split()
+    return all(math.isfinite(float(v)) for v in row[2:7])
+
+
+def test_extreme_artifact_values_exit_cleanly(value_workdir):
+    path, docs = value_workdir
+    artifact, request, data = path / "edited.mrp.json", path / "req.json", path / "data.csv"
+    commands = [
+        ["predict", "--artifact", str(artifact), "--input", str(request)],
+        ["evaluate", "--artifact", str(artifact), "--data", str(data)],
+        ["evaluate", "--artifact", str(artifact), "--data", str(data), "--raw-space-metrics"],
+    ]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(sorted(docs)), label="kind")
+        doc = json.loads(json.dumps(docs[kind]))
+        for group, slots in value_slots(doc).items():
+            how = data.draw(st.sampled_from(["keep", "all", "some"]), label=group)
+            if how == "all":
+                value = data.draw(st.sampled_from(EXTREMES), label=f"{group} value")
+                for container, key in slots:
+                    container[key] = value
+            elif how == "some":
+                chosen = data.draw(st.sets(st.sampled_from(range(len(slots))), min_size=1,
+                                           max_size=3), label=f"{group} slots")
+                for i in sorted(chosen):
+                    container, key = slots[i]
+                    container[key] = data.draw(st.sampled_from(EXTREMES), label=f"{group}[{i}]")
+        doc["pipeline"]["log_target"] = data.draw(st.booleans(), label="log_target")
+        artifact.write_text(json.dumps(doc), encoding="utf-8")
+        classes = doc["pipeline"]["encoder"]["classes"]
+        fields = {c.name: classes[c.name][0] if c.name in classes else 1.0
+                  for c in MOVIE_SCHEMA if c.role == FEATURE}
+        request.write_text(json.dumps(fields | {"model": kind}), encoding="utf-8")
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main(argv)
+            assert [str(w.message) for w in caught] == [], argv
+            assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+            assert code in (0, 4, 5), (argv, err.getvalue())
+            if code == 0:
+                assert printed_numbers_are_finite(out.getvalue()), (argv, out.getvalue())
+            else:
+                assert err.getvalue().count("\n") == 1 and out.getvalue() == "", argv
 
     check()
