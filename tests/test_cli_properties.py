@@ -198,7 +198,7 @@ def value_slots(doc) -> dict[str, list[tuple[object, object]]]:
     scaler's floats."""
     slots = {"v": [], "t": []}
     payload = doc["model_payload"]
-    stack = [payload["tree"]] if "tree" in payload else list(payload.get("trees", []))
+    stack = list(payload.get("trees", []))
     while stack:
         node = stack.pop()
         if "leaf" in node:
