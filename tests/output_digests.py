@@ -9,9 +9,13 @@ options, xgb with ``--track-r2``; ``evaluate --out`` and
 runs. One more table, 1,000 rows on seed 101 (key prefix ``101x1000``),
 gets ``select-features --expand`` alone: its view of about 2,200
 indicator columns spans many of the F scorer's column blocks, where a
-200-row table fits in one. Every file they write, and the stdout, stderr
-and exit code of each command, is hashed, with the working directory
-replaced by ``<dir>``.
+200-row table fits in one. Every file they write, the CSV tables among
+them, and the stdout, stderr and exit code of each command, is hashed,
+with the working directory replaced by ``<dir>``.
+
+``TABLES`` pins the generator itself: the ``write_csv`` bytes of tables
+no command reads (key ``table/<rows>x<seed>@<missing_fraction>``), at the
+benchmark's sizes, the test fixture's and with half the cells blanked.
 
 ``tests/test_output_digests.py`` compares the digests with the committed
 manifest ``tests/data/output_digests.json``, and runs three of the
@@ -42,6 +46,20 @@ ROWS = 200
 # (seed, rows) of the table that only ``select-features --expand`` reads
 BLOCKS_TABLE = (101, 1000)
 BLOCKS_COMMAND = "select-features-expand"
+# (rows, seed, missing_fraction) of the tables hashed as CSV alone: the
+# benchmark's tables for workload seed 1 (1,800 tuning and analysis rows,
+# 180 forest rows, 300 serving rows, 3,000 held-out rows and 6 requests,
+# the last two on the seed offsets it adds), the gapped test fixture and
+# one table with half its cells blanked
+TABLES = (
+    (1800, 1, 0.0),
+    (180, 1, 0.0),
+    (300, 1, 0.0),
+    (3000, 1_000_004, 0.0),
+    (6, 2_000_004, 0.0),
+    (240, 9, 0.03),
+    (200, 101, 0.5),
+)
 KINDS = ("linear", "tree", "bagging", "forest", "gbm", "xgb")
 GRID = {"n_estimators": [5, 10], "max_depth": [2, 3]}
 # the tree options a bagging or forest fit grows its trees under
@@ -133,6 +151,13 @@ def digests(workdir: pathlib.Path, seeds=SEEDS, names=None, run=in_process) -> d
         argv = ["select-features", "--data", str(d / "movies.csv"), "--expand",
                 "--out", str(d / "fscores-expand.csv")]
         _run_and_hash(out, key, d, [(BLOCKS_COMMAND, argv)], names, run)
+    if names is None:
+        d = pathlib.Path(workdir) / "tables"
+        d.mkdir(parents=True)
+        for rows, seed, missing in TABLES:
+            path = d / f"{rows}x{seed}@{missing}.csv"
+            write_csv(synthetic_movies(rows, seed=seed, missing_fraction=missing), path)
+            out[f"table/{path.stem}"] = _digest(path.read_bytes(), d)
     return out
 
 
