@@ -18,9 +18,26 @@ Two primitives:
   ``t = s1 << 17; s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= t;
   s3 = rotl(s3, 45)``. The four state words are seeded from the first four
   SplitMix64 outputs of the 64-bit seed.
+
+Bulk draws. ``Xoshiro256StarStar.outputs(k)`` returns the next ``k``
+outputs as one numpy ``uint64`` array: the state steps ``k`` times in one
+local loop, and the scrambler is applied to the ``k`` saved ``s1`` words
+at once, where numpy's ``uint64`` arithmetic wraps modulo 2**64 as the
+masked integer arithmetic does. The outputs, and the state left behind,
+are those of ``k`` ``next_uint64`` calls.
+
+Rejection. ``randbelow(n)`` rejects an output ``v >= below_limit(n)``
+(the largest multiple of ``n`` that fits in 64 bits) and draws the next
+one in its place. A caller that turns bulk outputs into bounded values
+keeps the same stream by the same rule: it drops each rejected output,
+lets every later output move up one place, and draws one more at the end.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -49,6 +66,13 @@ def derive_seed(seed: int, index: int) -> int:
     return _mix64(state)
 
 
+def below_limit(n: int) -> int:
+    """The largest multiple of ``n`` that fits in 64 bits: ``randbelow(n)``
+    takes an output below it, as ``v % n``, and redraws one at or above
+    it, which would skew the modulo."""
+    return (1 << 64) - (1 << 64) % n
+
+
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
@@ -72,6 +96,32 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         return result
 
+    def outputs(self, k: int) -> np.ndarray:
+        """The next ``k`` outputs, as a ``uint64`` array: ``k``
+        ``next_uint64`` calls, with the state stepped in one local loop
+        and the scrambler applied to all the outputs at once."""
+        if k < 0:
+            raise ValueError("outputs needs k >= 0")
+        s0, s1, s2, s3 = self._s
+        mask = _MASK64
+        words = []
+        append = words.append
+        for _ in repeat(None, k):  # the next_uint64 step, inlined
+            append(s1)
+            t = s1 << 17
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 = (s2 ^ t) & mask
+            s3 = (s3 << 45 | s3 >> 19) & mask
+        self._s = [s0, s1, s2, s3]
+        v = np.array(words, dtype=np.uint64)
+        v *= 5
+        v = v << 7 | v >> 57
+        v *= 9
+        return v
+
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0 ** -53
@@ -80,9 +130,7 @@ class Xoshiro256StarStar:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
-        # largest multiple of n that fits in 64 bits; values at or above
-        # it would skew the modulo and are redrawn
-        limit = (1 << 64) - ((1 << 64) % n)
+        limit = below_limit(n)
         while True:
             v = self.next_uint64()
             if v < limit:
@@ -107,7 +155,7 @@ class Xoshiro256StarStar:
                 s2 = (s2 ^ t) & _MASK64
                 s3 = (s3 << 45 | s3 >> 19) & _MASK64
                 # randbelow's rejection test, with a shortcut for small bounds
-                if (v < _SURE_BELOW and b <= _SURE_BOUND) or v < (1 << 64) - (1 << 64) % b:
+                if (v < _SURE_BELOW and b <= _SURE_BOUND) or v < below_limit(b):
                     break
             append(v % b)
         self._s = [s0, s1, s2, s3]

@@ -6,14 +6,26 @@ budget, votes, score and genre with multiplicative noise plus a few
 non-additive effects, which makes the data behave like the real thing:
 budget dominates the univariate feature scores and tree ensembles beat a
 straight line.
+
+The table is the one a row-by-row generator gives: it draws each row's
+values from the stream in the order of ``_ROW_DRAWS``, through
+``randbelow`` and ``next_float``, and then, when cells are to be blanked,
+one ``next_float`` per cell, column by column. Here the outputs are drawn
+in bulk (``Xoshiro256StarStar.outputs``) and turned into columns with
+numpy, whose float arithmetic rounds each operation as Python's does. The
+C library functions (``log``, ``cos``, ``sqrt``, ``expm1``, ``log1p``)
+and ``round`` still run through ``math`` and the built-in, one value at a
+time on the same operands, so every cell keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
 
-from .dataset import MOVIE_SCHEMA, DataTable
-from .rng import Xoshiro256StarStar
+import numpy as np
+
+from .dataset import MOVIE_SCHEMA, NUMERIC, DataTable
+from .rng import Xoshiro256StarStar, below_limit
 
 _RATINGS = ("G", "PG", "PG-13", "R", "Not Rated")
 _GENRES = ("Action", "Adventure", "Animation", "Comedy", "Crime", "Drama", "Horror")
@@ -40,83 +52,154 @@ _GENRE_LIFT = {
     "Drama": -0.2,
     "Horror": 0.3,
 }
+_LIFT_BY_CODE = np.array([_GENRE_LIFT[g] for g in _GENRES])
+_ACTION = _GENRES.index("Action")
+# countries whose films escape the 0.35 log-revenue discount
+_HOME_BY_CODE = np.array([c in ("United States", "United Kingdom") for c in _COUNTRIES])
+_DIRECTORS = tuple(f"Director {k:02d}" for k in range(40))
+_WRITERS = tuple(f"Writer {k:02d}" for k in range(60))
+_STARS = tuple(f"Star {k:02d}" for k in range(50))
+_STUDIOS = tuple(f"Studio {k:02d}" for k in range(25))
+
+_FLOAT = 0  # a next_float() draw
+_U1 = -1  # a Box-Muller u1: a next_float() drawn again while it is 0.0
+# One row's draws in stream order; a positive entry b is randbelow(b).
+# The names say what each draw becomes, in the order the row uses them.
+_ROW_DRAWS = (
+    len(_GENRES), len(_RATINGS), len(_COUNTRIES),
+    41,  # year - 1980
+    len(_MONTHS),
+    28,  # day - 1
+    _FLOAT,  # score
+    _FLOAT, _U1, _FLOAT,  # budget, then its noise (u1, u2)
+    _U1, _FLOAT,  # votes noise
+    101,  # runtime - 80
+    len(_DIRECTORS), len(_WRITERS), len(_STARS), len(_STUDIOS),
+    _U1, _FLOAT,  # gross noise
+)
+_BOUNDED = [j for j, d in enumerate(_ROW_DRAWS) if d > 0]
+_UNIFORM = [j for j, d in enumerate(_ROW_DRAWS) if d <= 0]
+_BOUNDS = np.array([_ROW_DRAWS[j] for j in _BOUNDED], dtype=np.uint64)
+# outputs drawn at once: the Python integers behind one block (about
+# 40 bytes each) are all the transient memory the draws take
+_BLOCK_OUTPUTS = 4096
 
 
-def _gauss(rng: Xoshiro256StarStar) -> float:
+def _draw_rows(rng: Xoshiro256StarStar, rows: int, kinds: tuple) -> np.ndarray:
+    """``rows`` rows of outputs, one place per entry of ``kinds`` (as in
+    ``_ROW_DRAWS``), in stream order. A place takes the next output its
+    draw accepts: one below ``below_limit(b)`` for ``randbelow(b)``, one
+    with ``v >> 11`` nonzero for a u1, any for a float. A rejected output
+    is dropped: every later output moves up one place and one more is
+    drawn at the end, so the stream ends where the same draws made one at
+    a time leave it."""
+    width = len(kinds)
+    low = np.array([1 << 11 if d == _U1 else 0 for d in kinds], dtype=np.uint64)
+    high = np.array([below_limit(d) - 1 if d > 0 else (1 << 64) - 1 for d in kinds],
+                    dtype=np.uint64)
+    out = np.empty((rows, width), dtype=np.uint64)
+    step = max(1, _BLOCK_OUTPUTS // width)
+    for start in range(0, rows, step):
+        m = min(step, rows - start)
+        v = rng.outputs(m * width)
+        while True:
+            block = v.reshape(m, width)
+            bad = np.flatnonzero((block < low) | (block > high))
+            if not bad.size:
+                break
+            v = np.concatenate((v[:bad[0]], v[bad[0] + 1:], rng.outputs(1)))
+        out[start:start + m] = block
+    return out
+
+
+def _uniform(v: np.ndarray) -> np.ndarray:
+    """``next_float`` of each output: its top 53 bits times 2**-53."""
+    return (v >> 11) * 2.0 ** -53
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """``f`` (a ``math`` function or ``round``) of each element, called
+    on Python floats one at a time."""
+    return np.fromiter(map(f, x.tolist()), dtype=np.float64, count=len(x))
+
+
+def _gauss(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     # Box-Muller from two uniform draws
-    u1 = rng.next_float()
-    while u1 == 0.0:
-        u1 = rng.next_float()
-    u2 = rng.next_float()
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return _each(math.sqrt, -2.0 * _each(math.log, u1)) * _each(math.cos, 2.0 * math.pi * u2)
 
 
-def _choice(rng: Xoshiro256StarStar, items):
-    return items[rng.randbelow(len(items))]
+def _pick(items: tuple, codes: np.ndarray) -> list:
+    return [items[k] for k in codes.tolist()]
 
 
 def synthetic_movies(n: int, seed: int = 7, missing_fraction: float = 0.0) -> DataTable:
     """A DataTable honoring the canonical movie schema.
 
-    ``missing_fraction`` blanks roughly that share of cells at random
-    (never the whole row) for exercising the cleaning path.
+    ``missing_fraction`` blanks roughly that share of cells at random,
+    each cell on its own draw, for exercising the cleaning path; at 1.0
+    every cell is blank.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
+    if not 0.0 <= missing_fraction <= 1.0:
+        raise ValueError(f"missing_fraction must lie in [0, 1], got {missing_fraction!r}")
     rng = Xoshiro256StarStar(seed)
-    cols: dict[str, list] = {c.name: [] for c in MOVIE_SCHEMA}
-    for i in range(n):
-        genre = _choice(rng, _GENRES)
-        rating = _choice(rng, _RATINGS)
-        country = _choice(rng, _COUNTRIES)
-        year = 1980 + rng.randbelow(41)
-        month = _choice(rng, _MONTHS)
-        day = 1 + rng.randbelow(28)
-        score = round(3.0 + 6.5 * rng.next_float(), 1)
-        budget = math.expm1(14.3 + 1.6 * rng.next_float() + 0.7 * _gauss(rng))
-        votes = math.expm1(4.4 + 0.42 * math.log1p(budget) + 0.6 * _gauss(rng))
-        runtime = float(80 + rng.randbelow(101))
-        director = f"Director {rng.randbelow(40):02d}"
-        writer = f"Writer {rng.randbelow(60):02d}"
-        star = f"Star {rng.randbelow(50):02d}"
-        company = f"Studio {rng.randbelow(25):02d}"
+    draws = _draw_rows(rng, n, _ROW_DRAWS)
+    (genre, rating, country, year, month, day, runtime,
+     director, writer, star, company) = (draws[:, _BOUNDED] % _BOUNDS).T
+    (score, budget, budget_u1, budget_u2, votes_u1, votes_u2,
+     gross_u1, gross_u2) = _uniform(draws[:, _UNIFORM]).T
+    del draws
 
-        log_gross = (
-            0.2
-            + 0.95 * math.log1p(budget)
-            + 0.18 * math.log1p(votes)
-            + 0.05 * score
-            + _GENRE_LIFT[genre]
-            + 0.3 * _gauss(rng)
-        )
-        # non-additive structure a straight line cannot express: steps and
-        # kinks, plus genre/country effects that are non-monotone in the
-        # label-encoded code space
-        if score > 7.5:
-            log_gross += 0.25 * (score - 7.5)
-        if genre == "Action" and budget > 5.0e7:
-            log_gross += 0.4
-        if country not in ("United States", "United Kingdom"):
-            log_gross -= 0.35
-        gross = math.expm1(min(log_gross, 23.5))
+    score = np.array([round(x, 1) for x in (3.0 + 6.5 * score).tolist()])
+    budget = _each(math.expm1, 14.3 + 1.6 * budget + 0.7 * _gauss(budget_u1, budget_u2))
+    log_budget = _each(math.log1p, budget)
+    votes = _each(math.expm1, 4.4 + 0.42 * log_budget + 0.6 * _gauss(votes_u1, votes_u2))
+    log_gross = (
+        0.2
+        + 0.95 * log_budget
+        + 0.18 * _each(math.log1p, votes)
+        + 0.05 * score
+        + _LIFT_BY_CODE[genre]
+        + 0.3 * _gauss(gross_u1, gross_u2)
+    )
+    # non-additive structure a straight line cannot express: steps and
+    # kinks, plus genre/country effects that are non-monotone in the
+    # label-encoded code space
+    log_gross = np.where(score > 7.5, log_gross + 0.25 * (score - 7.5), log_gross)
+    log_gross = np.where((genre == _ACTION) & (budget > 5.0e7), log_gross + 0.4, log_gross)
+    log_gross = np.where(_HOME_BY_CODE[country], log_gross, log_gross - 0.35)
+    gross = _each(math.expm1, np.minimum(log_gross, 23.5))
 
-        cols["name"].append(f"Movie {i:05d}")
-        cols["rating"].append(rating)
-        cols["genre"].append(genre)
-        cols["year"].append(float(year))
-        cols["released"].append(f"{month} {day}, {year} ({country})")
-        cols["score"].append(score)
-        cols["votes"].append(round(votes))
-        cols["director"].append(director)
-        cols["writer"].append(writer)
-        cols["star"].append(star)
-        cols["country"].append(country)
-        cols["budget"].append(round(budget))
-        cols["company"].append(company)
-        cols["runtime"].append(runtime)
-        cols["gross"].append(round(gross))
+    cols = {
+        "name": [f"Movie {i:05d}" for i in range(n)],
+        "rating": _pick(_RATINGS, rating),
+        "genre": _pick(_GENRES, genre),
+        "year": year + 1980.0,
+        "released": [
+            f"{_MONTHS[m]} {d + 1}, {y + 1980} ({_COUNTRIES[c]})"
+            for m, d, y, c in zip(month.tolist(), day.tolist(), year.tolist(), country.tolist())
+        ],
+        "score": score,
+        "votes": _each(round, votes),
+        "director": _pick(_DIRECTORS, director),
+        "writer": _pick(_WRITERS, writer),
+        "star": _pick(_STARS, star),
+        "country": _pick(_COUNTRIES, country),
+        "budget": _each(round, budget),
+        "company": _pick(_STUDIOS, company),
+        "runtime": runtime + 80.0,
+        "gross": _each(round, gross),
+    }
 
     if missing_fraction > 0.0:
-        for c in MOVIE_SCHEMA:
-            for i in range(n):
-                if rng.next_float() < missing_fraction:
-                    cols[c.name][i] = math.nan if c.kind == "numeric" else None
+        cells = _uniform(_draw_rows(rng, len(MOVIE_SCHEMA) * n, (_FLOAT,)))
+        blank = (cells < missing_fraction).reshape(len(MOVIE_SCHEMA), n)
+        for c, rows in zip(MOVIE_SCHEMA, blank):
+            col = cols[c.name]
+            if c.kind == NUMERIC:
+                col[rows] = math.nan
+            else:
+                for i in np.flatnonzero(rows).tolist():
+                    col[i] = None
     return DataTable(MOVIE_SCHEMA, cols)

@@ -2,6 +2,7 @@
 the reference values below are recomputed step by step in plain Python
 integers, independent of the library code paths."""
 
+import numpy as np
 import pytest
 
 from movierev.rng import Xoshiro256StarStar, derive_seed
@@ -172,3 +173,28 @@ def test_rejected_draws_are_redrawn_in_stream_order(seed):
     fast, slow = Xoshiro256StarStar(seed), StepByStep(seed)
     assert fast._below_each(bounds) == [slow.randbelow(b) for b in bounds]
     assert fast.next_uint64() == slow.rng.next_uint64()
+
+
+@pytest.mark.parametrize("seed", [0, M64])
+@pytest.mark.parametrize("k", [0, 1, 19, 10_000])
+def test_outputs_equal_one_call_per_output(seed, k):
+    """``outputs(k)`` is ``k`` ``next_uint64`` calls, and leaves the state
+    they leave."""
+    bulk, single = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    got = bulk.outputs(k)
+    assert got.dtype == np.uint64 and got.shape == (k,)
+    assert got.tolist() == [single.next_uint64() for _ in range(k)]
+    assert bulk._s == single._s
+    assert bulk.outputs(3).tolist() == [single.next_uint64() for _ in range(3)]
+
+
+def test_outputs_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        Xoshiro256StarStar(0).outputs(-1)
+
+
+def test_traced_method_names_remain():
+    """The benchmark's tracer patches these methods by name."""
+    for name in ("next_uint64", "next_float", "randbelow", "shuffle",
+                 "sample_without_replacement", "bootstrap_indices"):
+        assert callable(getattr(Xoshiro256StarStar, name))
