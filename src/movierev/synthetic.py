@@ -63,8 +63,7 @@ _STUDIOS = tuple(f"Studio {k:02d}" for k in range(25))
 
 _FLOAT = 0  # a next_float() draw
 _U1 = -1  # a Box-Muller u1: a next_float() drawn again while it is 0.0
-# One row's draws in stream order; a positive entry b is randbelow(b).
-# The names say what each draw becomes, in the order the row uses them.
+# one row's draws in stream order; a positive entry b is randbelow(b)
 _ROW_DRAWS = (
     len(_GENRES), len(_RATINGS), len(_COUNTRIES),
     41,  # year - 1980
@@ -80,8 +79,8 @@ _ROW_DRAWS = (
 _BOUNDED = [j for j, d in enumerate(_ROW_DRAWS) if d > 0]
 _UNIFORM = [j for j, d in enumerate(_ROW_DRAWS) if d <= 0]
 _BOUNDS = np.array([_ROW_DRAWS[j] for j in _BOUNDED], dtype=np.uint64)
-# outputs drawn at once: the Python integers behind one block (about
-# 40 bytes each) are all the transient memory the draws take
+# outputs drawn at once: the Python integers of one block (about 40 bytes
+# each) are held only while it is drawn; the rows keep 8 bytes an output
 _BLOCK_OUTPUTS = 4096
 
 
@@ -147,12 +146,12 @@ def synthetic_movies(n: int, seed: int = 7, missing_fraction: float = 0.0) -> Da
     draws = _draw_rows(rng, n, _ROW_DRAWS)
     (genre, rating, country, year, month, day, runtime,
      director, writer, star, company) = (draws[:, _BOUNDED] % _BOUNDS).T
-    (score, budget, budget_u1, budget_u2, votes_u1, votes_u2,
+    (score_u, budget_u, budget_u1, budget_u2, votes_u1, votes_u2,
      gross_u1, gross_u2) = _uniform(draws[:, _UNIFORM]).T
     del draws
 
-    score = np.array([round(x, 1) for x in (3.0 + 6.5 * score).tolist()])
-    budget = _each(math.expm1, 14.3 + 1.6 * budget + 0.7 * _gauss(budget_u1, budget_u2))
+    score = np.array([round(x, 1) for x in (3.0 + 6.5 * score_u).tolist()])
+    budget = _each(math.expm1, 14.3 + 1.6 * budget_u + 0.7 * _gauss(budget_u1, budget_u2))
     log_budget = _each(math.log1p, budget)
     votes = _each(math.expm1, 4.4 + 0.42 * log_budget + 0.6 * _gauss(votes_u1, votes_u2))
     log_gross = (
