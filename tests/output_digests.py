@@ -4,7 +4,8 @@ For each of the 200-row ``synthetic_movies`` tables on seeds 101 and 7,
 the commands below run in-process through ``movierev.cli.main``: ``train``
 for every kind, linear with ``--no-scale --no-log-money``, gbm and xgb
 with a grid file, bagging and forest with a grid over their tree
-options, xgb with ``--track-r2``; ``evaluate --out`` and
+options, xgb with ``--track-r2``, forest on the largest seed
+``--seed 18446744073709551615`` (2**64 - 1); ``evaluate --out`` and
 ``predict`` on each artifact; ``summarize``; and two ``select-features``
 runs. One more table, 1,000 rows on seed 101 (key prefix ``101x1000``),
 gets ``select-features --expand`` alone: its view of about 2,200
@@ -15,7 +16,8 @@ with the working directory replaced by ``<dir>``.
 
 ``TABLES`` pins the generator itself: the ``write_csv`` bytes of tables
 no command reads (key ``table/<rows>x<seed>@<missing_fraction>``), at the
-benchmark's sizes, the test fixture's and with half the cells blanked.
+benchmark's sizes, the test fixture's, with half the cells blanked and on
+the two ends of the seed range, 0 and 2**64 - 1.
 
 ``tests/test_output_digests.py`` compares the digests with the committed
 manifest ``tests/data/output_digests.json``, and runs three of the
@@ -50,7 +52,8 @@ BLOCKS_COMMAND = "select-features-expand"
 # benchmark's tables for workload seed 1 (1,800 tuning and analysis rows,
 # 180 forest rows, 300 serving rows, 3,000 held-out rows and 6 requests,
 # the last two on the seed offsets it adds), the gapped test fixture and
-# one table with half its cells blanked
+# one table with half its cells blanked, and two on the ends of the seed
+# range
 TABLES = (
     (1800, 1, 0.0),
     (180, 1, 0.0),
@@ -59,6 +62,8 @@ TABLES = (
     (6, 2_000_004, 0.0),
     (240, 9, 0.03),
     (200, 101, 0.5),
+    (60, 0, 0.0),
+    (60, 2**64 - 1, 0.0),
 )
 KINDS = ("linear", "tree", "bagging", "forest", "gbm", "xgb")
 GRID = {"n_estimators": [5, 10], "max_depth": [2, 3]}
@@ -81,6 +86,7 @@ def commands(d: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("bagging-grid", ["--model", "bagging", "--grid", str(d / "ensemble-grid.json")]),
         ("forest-grid", ["--model", "forest", "--grid", str(d / "ensemble-grid.json")]),
         ("xgb-r2", ["--model", "xgb", "--track-r2", str(d / "xgb-r2.curve.csv")]),
+        ("forest-seed-max", ["--model", "forest", "--seed", str(2**64 - 1)]),
     ]
     out = []
     for name, args in trains:
