@@ -88,6 +88,8 @@ def _space_pair(y_eval, pred_eval, table: DataTable, pipeline, raw_space: bool):
 
 
 def cmd_train(args) -> int:
+    if args.track_r2 and args.model not in models.BOOSTING_KINDS:
+        raise ValueError("staged R2 tracking needs a boosting model")
     table = load_table(args.data)
     clean = drop_incomplete_rows(table)
     split = train_test_split(clean, args.seed, args.test_fraction)

@@ -1,10 +1,10 @@
 """Deterministic 64-bit random number generation.
 
 Every randomized operation in the library (train/test shuffling, k-fold
-assignment, bootstrap resampling, per-split feature draws) runs on the
-generators in this module rather than on OS entropy or ``random``/numpy
-state, so identical seeds give bit-identical results on any platform and
-are reproducible from the update equations alone.
+assignment, bootstrap resampling, per-split feature draws, synthetic
+tables) runs on the generators in this module rather than on OS entropy
+or ``random``/numpy state, so identical seeds give bit-identical results
+on any platform and are reproducible from the update equations alone.
 
 Two primitives:
 
@@ -17,24 +17,38 @@ Two primitives:
 * xoshiro256**: 256-bit state, output ``rotl(s1 * 5, 7) * 9``; state update
   ``t = s1 << 17; s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= t;
   s3 = rotl(s3, 45)``. The four state words are seeded from the first four
-  SplitMix64 outputs of the 64-bit seed.
+  SplitMix64 outputs of the seed.
 
-Bulk draws. ``Xoshiro256StarStar.outputs(k)`` returns the next ``k``
-outputs as one numpy ``uint64`` array: the state steps ``k`` times in one
-local loop, and the scrambler is applied to the ``k`` saved ``s1`` words
-at once, where numpy's ``uint64`` arithmetic wraps modulo 2**64 as the
-masked integer arithmetic does. The outputs, and the state left behind,
-are those of ``k`` ``next_uint64`` calls.
+Seeds. A seed is an integer in [0, 2**64): a Python or numpy integer, not
+a ``bool``. ``derive_seed``, and through it every generator, raises
+``ValueError`` for anything else, so no two seeds name the same stream.
 
-Rejection. ``randbelow(n)`` rejects an output ``v >= below_limit(n)``
-(the largest multiple of ``n`` that fits in 64 bits) and draws the next
-one in its place. A caller that turns bulk outputs into bounded values
-keeps the same stream by the same rule: it drops each rejected output,
-lets every later output move up one place, and draws one more at the end.
+Two stepping loops. The state steps in exactly two places, one per draw
+shape, each the fast path of its callers:
+
+* ``outputs(k)``: raw outputs in bulk. The state steps ``k`` times in one
+  local loop, and the scrambler is applied to the ``k`` saved ``s1`` words
+  at once, where numpy's ``uint64`` arithmetic wraps modulo 2**64 as the
+  masked integer arithmetic does. ``next_uint64`` and ``next_float`` take
+  one output from it; the synthetic tables take thousands.
+* ``_below_each(bounds)``: bounded draws, one Python integer each, for
+  shuffles, bootstraps and feature subsets. ``randbelow`` is one of them.
+
+Both stay: bounded draws routed through ``outputs`` were 2.8x slower on
+the short draws of a forest's feature subsets (a numpy array per call),
+and one word-stepping helper shared by both loops was 15% slower.
+
+Rejection. A bounded draw ``randbelow(n)`` rejects an output
+``v >= below_limit(n)`` (the largest multiple of ``n`` that fits in 64
+bits), draws the next one in its place, and returns ``v % n``. A caller
+that turns bulk outputs into bounded values keeps the same stream by the
+same rule: it drops each rejected output, lets every later output move up
+one place, and draws one more at the end.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import repeat
 
 import numpy as np
@@ -55,14 +69,21 @@ def _mix64(z: int) -> int:
 
 def derive_seed(seed: int, index: int) -> int:
     """Child seed ``index`` of ``seed``: output ``index`` of the SplitMix64
-    stream started at ``seed``.
+    stream started at ``seed``, an integer in [0, 2**64) (``ValueError``
+    otherwise).
 
     Used to give ensemble member ``i`` its own stream so results do not
     depend on the order (or parallelism) in which members are fitted.
     """
+    try:
+        value = -1 if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
     if index < 0:
         raise ValueError("stream index must be non-negative")
-    state = (seed + (index + 1) * _GAMMA) & _MASK64
+    state = (value + (index + 1) * _GAMMA) & _MASK64
     return _mix64(state)
 
 
@@ -73,40 +94,27 @@ def below_limit(n: int) -> int:
     return (1 << 64) - (1 << 64) % n
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256StarStar:
     """xoshiro256** stream for one seeded random sequence."""
 
     def __init__(self, seed: int):
-        self._s = [derive_seed(seed & _MASK64, i) for i in range(4)]
+        self._s = [derive_seed(seed, i) for i in range(4)]
 
     def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        """The next output."""
+        return int(self.outputs(1)[0])
 
     def outputs(self, k: int) -> np.ndarray:
-        """The next ``k`` outputs, as a ``uint64`` array: ``k``
-        ``next_uint64`` calls, with the state stepped in one local loop
-        and the scrambler applied to all the outputs at once."""
+        """The next ``k`` outputs, as a ``uint64`` array, with the state
+        stepped in one local loop and the scrambler applied to all the
+        outputs at once."""
         if k < 0:
             raise ValueError("outputs needs k >= 0")
         s0, s1, s2, s3 = self._s
         mask = _MASK64
         words = []
         append = words.append
-        for _ in repeat(None, k):  # the next_uint64 step, inlined
+        for _ in repeat(None, k):  # the state step
             append(s1)
             t = s1 << 17
             s2 ^= s0
@@ -130,21 +138,17 @@ class Xoshiro256StarStar:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
-        limit = below_limit(n)
-        while True:
-            v = self.next_uint64()
-            if v < limit:
-                return v % n
+        return self._below_each((n,))[0]
 
     def _below_each(self, bounds) -> list[int]:
-        """``[self.randbelow(b) for b in bounds]``, each bound >= 1, with
-        the state stepped in one local loop rather than one method call
-        per output."""
+        """One bounded draw per bound, each bound >= 1, in order: the next
+        output accepted for bound ``b`` (below ``below_limit(b)``), as
+        ``v % b``, with the state stepped in one local loop."""
         s0, s1, s2, s3 = self._s
         out = []
         append = out.append
         for b in bounds:
-            while True:  # the next_uint64 step, inlined
+            while True:  # the output, then the state step
                 v = (s1 * 5) & _MASK64
                 v = ((v << 7 | v >> 57) * 9) & _MASK64
                 t = s1 << 17
@@ -154,7 +158,7 @@ class Xoshiro256StarStar:
                 s0 ^= s3
                 s2 = (s2 ^ t) & _MASK64
                 s3 = (s3 << 45 | s3 >> 19) & _MASK64
-                # randbelow's rejection test, with a shortcut for small bounds
+                # the rejection test, with a shortcut for small bounds
                 if (v < _SURE_BELOW and b <= _SURE_BOUND) or v < below_limit(b):
                     break
             append(v % b)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from movierev import analysis, models, persist, preprocess
+from movierev import analysis, cli, models, persist, preprocess
 from movierev.cli import _request_interactive, main
 from movierev.dataset import FEATURE, NUMERIC, DataTable, write_csv
 from movierev.errors import InvalidField
@@ -102,6 +102,46 @@ class TestTrain:
             "--out", str(tmp_path / "m.mrp.json"), "--track-r2", str(tmp_path / "c.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["linear", "tree", "bagging", "forest"])
+    def test_track_r2_for_a_non_boosting_kind_is_refused_first(
+        self, tmp_path, movies_csv, monkeypatch, capsys, kind
+    ):
+        """Refused before the CSV is read: no fit, no file."""
+        calls = []
+        monkeypatch.setattr(cli, "load_table", lambda *a: calls.append("load"))
+        monkeypatch.setattr(models, "fit_model", lambda *a: calls.append("fit"))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(
+            "train", "--data", str(movies_csv), "--model", kind,
+            "--out", str(out / "m.mrp.json"), "--track-r2", str(out / "c.csv"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "usage error: staged R2 tracking needs a boosting model"]
+        assert calls == []
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(-(2**64))])
+    def test_seed_outside_the_64_bit_range_exits_two(
+        self, tmp_path, movies_csv, monkeypatch, capsys, seed
+    ):
+        """Seeds -1 and 2**64 - 1 used to give one model under two recorded
+        seeds; a seed outside [0, 2**64) is now refused before any fit."""
+        fits = []
+        monkeypatch.setattr(models, "fit_model", lambda *a: fits.append(a))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run(
+            "train", "--data", str(movies_csv), "--model", "tree", "--seed", seed,
+            "--out", str(out / "m.mrp.json"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage error: seed must be an integer in [0, 2**64), not {seed}"]
+        assert fits == []
+        assert list(out.iterdir()) == []
 
     def test_grid_writes_cv_table(self, tmp_path, movies_csv):
         grid_path = tmp_path / "grid.json"

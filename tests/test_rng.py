@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from movierev.rng import Xoshiro256StarStar, derive_seed
+from movierev.synthetic import synthetic_movies
 
 M64 = (1 << 64) - 1
 
@@ -23,16 +24,15 @@ def reference_splitmix64(seed, count):
     return out
 
 
-def reference_xoshiro(seed, count):
+class ReferenceXoshiro:
     """Direct transcription of the xoshiro256** equations, seeded from
-    the first four SplitMix64 outputs."""
+    the first four SplitMix64 outputs; ``s`` is the state."""
 
-    def rotl(x, k):
-        return ((x << k) | (x >> (64 - k))) & M64
+    def __init__(self, seed):
+        self.s = reference_splitmix64(seed, 4)
 
-    s = reference_splitmix64(seed, 4)
-    out = []
-    for _ in range(count):
+    def next(self):
+        s = self.s
         result = (rotl((s[1] * 5) & M64, 7) * 9) & M64
         t = (s[1] << 17) & M64
         s[2] ^= s[0]
@@ -41,8 +41,17 @@ def reference_xoshiro(seed, count):
         s[0] ^= s[3]
         s[2] ^= t
         s[3] = rotl(s[3], 45)
-        out.append(result)
-    return out
+        return result
+
+
+def rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & M64
+
+
+def reference_xoshiro(seed, count):
+    """The first ``count`` outputs of the reference stream."""
+    ref = ReferenceXoshiro(seed)
+    return [ref.next() for _ in range(count)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 0xDEADBEEF, M64])
@@ -58,10 +67,10 @@ def test_xoshiro_matches_reference(seed):
 
 
 def test_streams_are_reproducible():
-    a = Xoshiro256StarStar(99)
-    b = Xoshiro256StarStar(99)
-    assert [a.next_uint64() for _ in range(10)] == [b.next_uint64() for _ in range(10)]
-    assert Xoshiro256StarStar(99).next_uint64() != Xoshiro256StarStar(100).next_uint64()
+    for rng in (Xoshiro256StarStar(99), Xoshiro256StarStar(99)):
+        assert [rng.next_uint64() for _ in range(10)] == reference_xoshiro(99, 10)
+    first = Xoshiro256StarStar(100).next_uint64()
+    assert first == reference_xoshiro(100, 1)[0] != reference_xoshiro(99, 1)[0]
 
 
 def test_next_float_range():
@@ -112,18 +121,21 @@ def test_bootstrap_indices_shape_and_range():
 
 
 class StepByStep:
-    """The drawing methods as their docstrings define them, on a stream
-    stepped one ``next_uint64`` call at a time."""
+    """The drawing methods as their docstrings define them, on the
+    reference stream, stepped one output at a time; ``redrawn`` counts the
+    outputs that ``randbelow`` rejected."""
 
     def __init__(self, seed):
-        self.rng = Xoshiro256StarStar(seed)
+        self.ref = ReferenceXoshiro(seed)
+        self.redrawn = 0
 
     def randbelow(self, n):
         limit = (1 << 64) - (1 << 64) % n
         while True:
-            v = self.rng.next_uint64()
+            v = self.ref.next()
             if v < limit:
                 return v % n
+            self.redrawn += 1
 
     def shuffle(self, items):
         for i in range(len(items) - 1, 0, -1):
@@ -157,11 +169,11 @@ SEEDS = [0, 5, 99, 2**40 + 3, M64]
         "shuffle", "shuffle-one"])
 def test_draws_equal_step_by_step_draws(seed, call):
     """Each method, and the state it leaves, equal the same draws made
-    one ``next_uint64`` at a time."""
+    on the reference stream one output at a time."""
     fast, slow = Xoshiro256StarStar(seed), StepByStep(seed)
     for _ in range(3):
         assert call(fast) == call(slow)
-    assert fast.next_uint64() == slow.rng.next_uint64()
+    assert fast._s == slow.ref.s
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -172,20 +184,89 @@ def test_rejected_draws_are_redrawn_in_stream_order(seed):
     bounds = [3 * 2**62] * 40 + [2**32 + 1, 2**32, 1, 2, 3 * 2**62, 7] * 5
     fast, slow = Xoshiro256StarStar(seed), StepByStep(seed)
     assert fast._below_each(bounds) == [slow.randbelow(b) for b in bounds]
-    assert fast.next_uint64() == slow.rng.next_uint64()
+    assert slow.redrawn > 0
+    assert fast._s == slow.ref.s
+
+
+# bounds with no rejected output (1, 2**32), two rejected outputs (7), one
+# (2**32 + 1, just past the small-bound shortcut) and a quarter of all
+# outputs rejected (3 * 2**62)
+BOUNDS = [1, 7, 2**32, 2**32 + 1, 3 * 2**62]
+
+
+def state_whose_next_output_is(seed, v):
+    """The reference state of ``seed`` with ``s1`` set so that the next
+    output is ``v``: ``s1 = rotr(v / 9, 7) / 5`` modulo 2**64."""
+    s = reference_splitmix64(seed, 4)
+    s[1] = rotl((v * pow(9, -1, 1 << 64)) & M64, 57) * pow(5, -1, 1 << 64) & M64
+    return s
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_single_draws_follow_the_reference(seed):
+    """``next_uint64``, ``next_float`` and ``randbelow(b)``, interleaved,
+    take the reference stream's outputs in order, with every rejected
+    output redrawn by the reference rule."""
+    rng, ref = Xoshiro256StarStar(seed), StepByStep(seed)
+    for b in BOUNDS * 30:
+        assert rng.next_uint64() == ref.ref.next()
+        assert rng.next_float() == (ref.ref.next() >> 11) * 2.0**-53
+        assert rng.randbelow(b) == ref.randbelow(b)
+    assert ref.redrawn > 0
+    assert rng._s == ref.ref.s
+
+
+@pytest.mark.parametrize("b", BOUNDS)
+@pytest.mark.parametrize("v", [0, 2**64 - 2**32 - 1, 2**64 - 2**32, 3 * 2**62 - 1,
+                               3 * 2**62, M64 - 1, M64])
+def test_randbelow_redraws_exactly_the_outputs_the_reference_rejects(b, v):
+    """The next output set to each side of every bound's limit and of
+    the small-bound shortcut: ``randbelow`` takes or redraws it as the
+    reference does, and leaves the same state."""
+    rng, ref, probe = Xoshiro256StarStar(0), StepByStep(0), ReferenceXoshiro(0)
+    rng._s = state_whose_next_output_is(0, v)
+    ref.ref.s, probe.s = list(rng._s), list(rng._s)
+    assert probe.next() == v
+    assert rng.randbelow(b) == ref.randbelow(b)
+    assert (ref.redrawn > 0) == (v >= (1 << 64) - (1 << 64) % b)
+    assert rng._s == ref.ref.s
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**65 + 3, True, False, 1.0, 2.0**64,
+                                  "1", None, np.int64(-1)], ids=repr)
+def test_seed_outside_the_64_bit_range_is_refused(seed):
+    """No two seeds name one stream: a seed is an integer in [0, 2**64)."""
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        derive_seed(seed, 0)
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        Xoshiro256StarStar(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 - 1, 2**63, M64])
+def test_numpy_integer_seeds_equal_python_ones(seed):
+    kinds = [np.uint64] + ([np.int64] if seed < 2**63 else [])
+    for kind in kinds:
+        assert [derive_seed(kind(seed), i) for i in range(3)] == reference_splitmix64(seed, 3)
+        assert Xoshiro256StarStar(kind(seed))._s == ReferenceXoshiro(seed).s
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_synthetic_tables_refuse_an_out_of_range_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        synthetic_movies(5, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, M64])
 @pytest.mark.parametrize("k", [0, 1, 19, 10_000])
 def test_outputs_equal_one_call_per_output(seed, k):
-    """``outputs(k)`` is ``k`` ``next_uint64`` calls, and leaves the state
-    they leave."""
-    bulk, single = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    """``outputs(k)`` is the next ``k`` outputs of the reference stream,
+    and leaves the state that stream leaves."""
+    bulk, single = Xoshiro256StarStar(seed), ReferenceXoshiro(seed)
     got = bulk.outputs(k)
     assert got.dtype == np.uint64 and got.shape == (k,)
-    assert got.tolist() == [single.next_uint64() for _ in range(k)]
-    assert bulk._s == single._s
-    assert bulk.outputs(3).tolist() == [single.next_uint64() for _ in range(3)]
+    assert got.tolist() == [single.next() for _ in range(k)]
+    assert bulk._s == single.s
+    assert bulk.outputs(3).tolist() == [single.next() for _ in range(3)]
 
 
 def test_outputs_rejects_a_negative_count():
