@@ -127,8 +127,8 @@ class TestTrain:
     def test_seed_outside_the_64_bit_range_exits_two(
         self, tmp_path, movies_csv, monkeypatch, capsys, seed
     ):
-        """Seeds -1 and 2**64 - 1 used to give one model under two recorded
-        seeds; a seed outside [0, 2**64) is now refused before any fit."""
+        """A seed outside [0, 2**64) would name the stream of a seed inside
+        it; it is refused before any fit, and no file is written."""
         fits = []
         monkeypatch.setattr(models, "fit_model", lambda *a: fits.append(a))
         out = tmp_path / "out"
