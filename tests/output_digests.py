@@ -4,7 +4,8 @@ For each of the 200-row ``synthetic_movies`` tables on seeds 101 and 7,
 the commands below run in-process through ``movierev.cli.main``: ``train``
 for every kind, linear with ``--no-scale --no-log-money``, gbm and xgb
 with a grid file, bagging and forest with a grid over their tree
-options, xgb with ``--track-r2``, forest on the largest seed
+options, tree with a grid over ``max_features`` and ``min_samples_leaf``
+(a lone tree drawing its own feature subsets), xgb with ``--track-r2``, forest on the largest seed
 ``--seed 18446744073709551615`` (2**64 - 1); ``evaluate --out`` and
 ``predict`` on each artifact; ``summarize``; and two ``select-features``
 runs. One more table, 1,000 rows on seed 101 (key prefix ``101x1000``),
@@ -74,6 +75,8 @@ ENSEMBLE_GRID = {
     "min_samples_split": [2, 12],
     "max_features": [None, 3],
 }
+# a lone tree on feature subsets: ``fit_cart`` draws them from its own stream
+TREE_GRID = {"max_features": [3, 5], "min_samples_leaf": [1, 3]}
 
 
 def commands(d: pathlib.Path) -> list[tuple[str, list[str]]]:
@@ -85,6 +88,7 @@ def commands(d: pathlib.Path) -> list[tuple[str, list[str]]]:
         ("xgb-grid", ["--model", "xgb", "--grid", str(d / "grid.json")]),
         ("bagging-grid", ["--model", "bagging", "--grid", str(d / "ensemble-grid.json")]),
         ("forest-grid", ["--model", "forest", "--grid", str(d / "ensemble-grid.json")]),
+        ("tree-grid", ["--model", "tree", "--grid", str(d / "tree-grid.json")]),
         ("xgb-r2", ["--model", "xgb", "--track-r2", str(d / "xgb-r2.curve.csv")]),
         ("forest-seed-max", ["--model", "forest", "--seed", str(2**64 - 1)]),
     ]
@@ -143,6 +147,7 @@ def digests(workdir: pathlib.Path, seeds=SEEDS, names=None, run=in_process) -> d
         write_csv(table, d / "movies.csv")
         (d / "grid.json").write_text(json.dumps(GRID))
         (d / "ensemble-grid.json").write_text(json.dumps(ENSEMBLE_GRID))
+        (d / "tree-grid.json").write_text(json.dumps(TREE_GRID))
         # the first movie, asked of each kind's artifact
         request = {c.name: table.column(c.name)[0] for c in table.schema if c.role == FEATURE}
         for kind in KINDS:
