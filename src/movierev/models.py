@@ -218,6 +218,10 @@ def _grow_trees(XT, g, config, lam, gamma, require_gain, rngs, train_pred=None, 
         subset = None
     all_feats = list(range(p))
     in_left = np.zeros(n_rows, dtype=bool)  # scratch mask, cleared after each use
+    # per tree, sorted feature subsets drawn ahead in blocks of 16, 32, 64, ...
+    # rows, the next one last; its stream is its own, so extra rows go unread
+    ahead = [[] for _ in rngs]
+    block = [16] * len(rngs)
     roots = [None] * len(rngs)
     # per tree, the nodes left to grow, the next one last:
     # (start, size, depth, parent Split or None, side)
@@ -242,10 +246,12 @@ def _grow_trees(XT, g, config, lam, gamma, require_gain, rngs, train_pred=None, 
             for i, same in enumerate(constant):
                 if not same:
                     searched.append(i)
-                    feats.append(
-                        sorted(rngs[owner[i]].sample_without_replacement(p, subset))
-                        if subset else all_feats
-                    )
+                    t = owner[i]
+                    if subset and not ahead[t]:
+                        rows_ahead = np.sort(rngs[t].sample_rows(p, subset, block[t]), axis=1)
+                        ahead[t] = rows_ahead[::-1].tolist()
+                        block[t] *= 2
+                    feats.append(ahead[t].pop() if subset else all_feats)
             found = [None] * len(batch)
             if searched:
                 bests = _best_splits(

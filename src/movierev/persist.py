@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import CATEGORICAL, FEATURE, NUMERIC, TARGET, ColumnSpec
+from .dataset import CATEGORICAL, FEATURE, NUMERIC, TARGET, ColumnSpec, validate_schema
 from .errors import ArtifactError, CorruptArtifact, SchemaHashMismatch, VersionMismatch
 from .models import (
     KIND_BAGGING,
@@ -300,6 +300,24 @@ def _expect_items(mapping, key, container, kinds, path):
     return {k: _check(v, kinds, where, k) for k, v in items.items()}
 
 
+def _seed(value, path, key):
+    """``value``, at ``key`` under ``path``, if it is a seed: an integer
+    in [0, 2**64), as ``train`` writes."""
+    if not 0 <= _check(value, int, path, key) < 1 << 64:
+        raise CorruptArtifact(_where(path, key), "seed outside [0, 2**64)")
+    return value
+
+
+def _param(value, path, key):
+    """``value``, at ``key`` under ``path``, if it is a training parameter:
+    null, a bool, an int, a finite float or a string."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return _check(value, float, path, key)
+    raise CorruptArtifact(_where(path, key), "expected null, a boolean, a number or a string")
+
+
 def _expect_choice(mapping, key, choices, path):
     """The string ``mapping[key]``, which must be one of ``choices``."""
     value = _expect(mapping, key, str, path)
@@ -378,7 +396,11 @@ def _decode_model(kind, payload, n_features):
         raise CorruptArtifact(f"{path}.trees", "an ensemble needs at least one tree")
     trees = [_decode_node(doc, n_features, f"{path}.trees[{i}]") for i, doc in enumerate(docs)]
     if kind in (KIND_BAGGING, KIND_FOREST):
-        seeds = _expect_items(payload, "per_tree_seeds", list, int, path)
+        where = f"{path}.per_tree_seeds"
+        items = _expect(payload, "per_tree_seeds", list, path)
+        seeds = [_seed(v, where, i) for i, v in enumerate(items)]
+        if len(seeds) != len(trees):
+            raise CorruptArtifact(where, f"{len(seeds)} seeds for {len(trees)} trees")
         return EnsembleModel(kind=kind, trees=trees, per_tree_seeds=seeds)
     floats = {name: _expect(payload, name, float, path) for name in _BOOSTING_FLOATS[kind]}
     return EnsembleModel(kind=kind, trees=trees, **floats)
@@ -394,6 +416,10 @@ def _decode_pipeline(doc):
         )
         for i, c in enumerate(_expect(doc, "schema", list, path))
     )
+    try:
+        validate_schema(schema, require_target=True)
+    except ValueError as exc:
+        raise CorruptArtifact(f"{path}.schema", str(exc)) from None
     where = f"{path}.encoder.classes"
     classes_doc = _expect(_expect(doc, "encoder", dict, path), "classes", dict, f"{path}.encoder")
     if sorted(classes_doc) != sorted(c.name for c in schema if c.kind == CATEGORICAL):
@@ -459,8 +485,11 @@ def _decode_document(doc) -> ModelArtifact:
     )
     meta_doc = _expect(doc, "training_meta", dict, "<document>")
     meta = {
-        "seed": _expect(meta_doc, "seed", int, "training_meta"),
-        "params": _expect(meta_doc, "params", dict, "training_meta"),
+        "seed": _seed(_expect(meta_doc, "seed", int, "training_meta"), "training_meta", "seed"),
+        "params": {
+            name: _param(value, "training_meta.params", name)
+            for name, value in _expect(meta_doc, "params", dict, "training_meta").items()
+        },
         "schema_hash": _expect(meta_doc, "schema_hash", str, "training_meta"),
     }
     if meta["schema_hash"] != schema_hash(pipeline.fitted_on_schema):

@@ -22,18 +22,21 @@ Two primitives:
 A seed is an integer in [0, 2**64), Python or numpy but not ``bool``;
 ``derive_seed``, and so every generator, refuses any other value.
 
-The state steps in two loops, one per draw shape: ``outputs(k)`` for raw
-outputs in bulk (the scrambler applied in numpy, whose ``uint64``
-arithmetic wraps as the masked integers do), and ``_below_each(bounds)``
-for bounded draws as Python integers. ``next_uint64``, ``next_float`` and
-``randbelow`` are one draw of them. A merged loop was slower on a forest's
-feature subsets: 2.1x through ``outputs``, 1.14x with a shared step.
+One loop steps the state: ``outputs(k)``, the next ``k`` outputs in bulk
+(the scrambler applied in numpy, whose ``uint64`` arithmetic wraps as the
+masked integers do). One routine, ``accepted_outputs``, applies the
+rejection rule, for every bounded draw and for ``synthetic_movies``. So a
+single draw costs a few numpy calls, tens of microseconds; a forest tree
+draws its feature subsets ahead in blocks (``sample_rows``), which is
+safe because the stream is the tree's own: rows past its last searched
+node are never read.
 
-Rejection. A bounded draw for ``n`` rejects an output
-``v >= below_limit(n)`` (the largest multiple of ``n`` that fits in 64
-bits), takes the next output in its place and returns ``v % n``. A caller
-that turns bulk outputs into bounded values keeps the same stream: it
-drops each rejected output and draws one more at the end.
+Rejection. A bounded draw for ``n``, an integer in [1, 2**64]
+(``ValueError`` otherwise), rejects an output ``v >= below_limit(n)``
+(the largest multiple of ``n`` that fits in 64 bits; all of them for
+``n = 2**64``), takes the next output in its place and returns
+``v % n``. Drawn in bulk, a rejected output is dropped: every later
+output moves up one place and one more is drawn at the end.
 """
 
 from __future__ import annotations
@@ -45,10 +48,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-# every output below _SURE_BELOW passes randbelow's test for a bound up
-# to _SURE_BOUND: that bound's limit is above 2**64 - _SURE_BOUND
-_SURE_BOUND = 1 << 32
-_SURE_BELOW = (1 << 64) - _SURE_BOUND
+# outputs drawn at once by ``accepted_outputs``: the Python integers of one
+# block (about 40 bytes each) are held only while it is drawn
+_BLOCK_OUTPUTS = 4096
 
 
 def _mix64(z: int) -> int:
@@ -82,6 +84,27 @@ def below_limit(n: int) -> int:
     takes an output below it, as ``v % n``, and redraws one at or above
     it, which would skew the modulo."""
     return (1 << 64) - (1 << 64) % n
+
+
+def accepted_outputs(gen, rows: int, low, high) -> np.ndarray:
+    """``rows`` rows of outputs of ``gen`` (any object with ``outputs``),
+    place ``j`` taking the next output in ``[low[j], high[j]]`` by the
+    rejection rule, as a ``uint64`` array, drawn in blocks of about
+    ``_BLOCK_OUTPUTS`` outputs."""
+    width = len(high)
+    out = np.empty((rows, width), dtype=np.uint64)
+    step = max(1, _BLOCK_OUTPUTS // max(1, width))
+    for start in range(0, rows, step):
+        m = min(step, rows - start)
+        v = gen.outputs(m * width)
+        while True:
+            block = v.reshape(m, width)
+            bad = np.flatnonzero((block < low) | (block > high))
+            if not bad.size:
+                break
+            v = np.concatenate((v[:bad[0]], v[bad[0] + 1:], gen.outputs(1)))
+        out[start:start + m] = block
+    return out
 
 
 class Xoshiro256StarStar:
@@ -126,53 +149,53 @@ class Xoshiro256StarStar:
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randbelow needs n >= 1")
-        return self._below_each((n,))[0]
+        return int(self._below((n,))[0, 0])
 
-    def _below_each(self, bounds) -> list[int]:
-        """One bounded draw per bound, each bound >= 1, in order: the next
-        output accepted for bound ``b`` (below ``below_limit(b)``), as
-        ``v % b``, with the state stepped in one local loop."""
-        s0, s1, s2, s3 = self._s
-        out = []
-        append = out.append
-        for b in bounds:
-            while True:
-                v = (s1 * 5) & _MASK64
-                v = ((v << 7 | v >> 57) * 9) & _MASK64
-                t = s1 << 17
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 = (s2 ^ t) & _MASK64
-                s3 = (s3 << 45 | s3 >> 19) & _MASK64
-                # the rejection test, with a shortcut for small bounds
-                if (v < _SURE_BELOW and b <= _SURE_BOUND) or v < below_limit(b):
-                    break
-            append(v % b)
-        self._s = [s0, s1, s2, s3]
-        return out
+    def _below(self, bounds, rows: int = 1) -> np.ndarray:
+        """``rows`` rows of bounded draws, one place per bound of ``bounds``,
+        each an integer in [1, 2**64] (``ValueError`` otherwise): the next
+        output accepted for bound ``b``, as ``v % b``, in a ``uint64``
+        array."""
+        top = max(bounds, default=1)
+        least = min(bounds, default=1)
+        if least < 1 or top > 1 << 64:
+            raise ValueError(
+                f"a bound must be an integer in [1, 2**64], not {least if least < 1 else top}"
+            )
+        # 2**64 does not fit in uint64: it is drawn as a bound of 1, which
+        # also accepts every output, and keeps the output as it is
+        kept = [x == 1 << 64 for x in bounds] if top == 1 << 64 else None
+        if kept is not None:
+            bounds = [1 if k else x for k, x in zip(kept, bounds)]
+        b = np.array(bounds, dtype=np.uint64)
+        v = accepted_outputs(self, rows, 0, _MASK64 - -b % b)  # below_limit(b) - 1
+        return v % b if kept is None else np.where(kept, v, v % b)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates: for i = n-1 .. 1, swap i with
         ``randbelow(i + 1)``."""
         n = len(items)
-        for i, j in zip(range(n - 1, 0, -1), self._below_each(range(n, 1, -1))):
+        for i, j in zip(range(n - 1, 0, -1), self._below(range(n, 1, -1))[0].tolist()):
             items[i], items[j] = items[j], items[i]
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct values from range(n) by a partial Fisher-Yates pass:
         for i = 0 .. k-1, swap i with ``i + randbelow(n - i)``."""
+        return self.sample_rows(n, k, 1)[0].tolist()
+
+    def sample_rows(self, n: int, k: int, count: int) -> np.ndarray:
+        """``count`` successive ``sample_without_replacement(n, k)`` results,
+        as the rows of a (count, k) array."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
-        idx = list(range(n))
-        for i, r in enumerate(self._below_each(range(n, n - k, -1))):
-            j = i + r
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx[:k]
+        steps = self._below(range(n, n - k, -1), count).astype(np.intp)
+        idx = np.tile(np.arange(n), (count, 1))
+        row = np.arange(count)
+        for i in range(k):
+            j = i + steps[:, i]
+            idx[row, i], idx[row, j] = idx[row, j], idx[row, i]
+        return idx[:, :k]
 
     def bootstrap_indices(self, n: int) -> list[int]:
         """n draws with replacement from range(n), in draw order."""
-        return self._below_each([n] * n)
+        return self._below([n] * n)[0].tolist()

@@ -11,7 +11,7 @@ The table is the one a row-by-row generator gives: it draws each row's
 values from the stream in the order of ``_ROW_DRAWS``, through
 ``randbelow`` and ``next_float``, and then, when cells are to be blanked,
 one ``next_float`` per cell, column by column. Here the outputs are drawn
-in bulk (``Xoshiro256StarStar.outputs``) and turned into columns with
+in bulk (``rng.accepted_outputs``) and turned into columns with
 numpy, whose float arithmetic rounds each operation as Python's does. The
 C library functions (``log``, ``cos``, ``sqrt``, ``expm1``, ``log1p``)
 and ``round`` still run through ``math`` and the built-in, one value at a
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .dataset import MOVIE_SCHEMA, NUMERIC, DataTable
-from .rng import Xoshiro256StarStar, below_limit
+from .rng import Xoshiro256StarStar, accepted_outputs, below_limit
 
 _RATINGS = ("G", "PG", "PG-13", "R", "Not Rated")
 _GENRES = ("Action", "Adventure", "Animation", "Comedy", "Crime", "Drama", "Horror")
@@ -79,36 +79,18 @@ _ROW_DRAWS = (
 _BOUNDED = [j for j, d in enumerate(_ROW_DRAWS) if d > 0]
 _UNIFORM = [j for j, d in enumerate(_ROW_DRAWS) if d <= 0]
 _BOUNDS = np.array([_ROW_DRAWS[j] for j in _BOUNDED], dtype=np.uint64)
-# outputs drawn at once: the Python integers of one block (about 40 bytes
-# each) are held only while it is drawn; the rows keep 8 bytes an output
-_BLOCK_OUTPUTS = 4096
 
 
 def _draw_rows(rng: Xoshiro256StarStar, rows: int, kinds: tuple) -> np.ndarray:
     """``rows`` rows of outputs, one place per entry of ``kinds`` (as in
-    ``_ROW_DRAWS``), in stream order. A place takes the next output its
-    draw accepts: one below ``below_limit(b)`` for ``randbelow(b)``, one
-    with ``v >> 11`` nonzero for a u1, any for a float. A rejected output
-    is dropped: every later output moves up one place and one more is
-    drawn at the end, so the stream ends where the same draws made one at
-    a time leave it."""
-    width = len(kinds)
+    ``_ROW_DRAWS``), in stream order, from ``accepted_outputs``. A place
+    takes the next output its draw accepts: one below ``below_limit(b)``
+    for ``randbelow(b)``, one with ``v >> 11`` nonzero for a u1, any for a
+    float."""
     low = np.array([1 << 11 if d == _U1 else 0 for d in kinds], dtype=np.uint64)
     high = np.array([below_limit(d) - 1 if d > 0 else (1 << 64) - 1 for d in kinds],
                     dtype=np.uint64)
-    out = np.empty((rows, width), dtype=np.uint64)
-    step = max(1, _BLOCK_OUTPUTS // width)
-    for start in range(0, rows, step):
-        m = min(step, rows - start)
-        v = rng.outputs(m * width)
-        while True:
-            block = v.reshape(m, width)
-            bad = np.flatnonzero((block < low) | (block > high))
-            if not bad.size:
-                break
-            v = np.concatenate((v[:bad[0]], v[bad[0] + 1:], rng.outputs(1)))
-        out[start:start + m] = block
-    return out
+    return accepted_outputs(rng, rows, low, high)
 
 
 def _uniform(v: np.ndarray) -> np.ndarray:

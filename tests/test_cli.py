@@ -11,7 +11,7 @@ import pytest
 
 from movierev import analysis, cli, models, persist, preprocess
 from movierev.cli import _request_interactive, main
-from movierev.dataset import FEATURE, NUMERIC, DataTable, write_csv
+from movierev.dataset import FEATURE, NUMERIC, ColumnSpec, DataTable, write_csv
 from movierev.errors import InvalidField
 from movierev.synthetic import synthetic_movies
 from tests.conftest import run_python
@@ -638,6 +638,42 @@ class TestPredict:
         out, err = capsys.readouterr()
         assert f"corrupt artifact at '{where}': number beyond the double range" in err
         assert "predicted" not in out
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("edit", ["duplicate name", "no target"])
+    def test_invalid_schema_exit_five(self, movies_table, movies_csv, tmp_path, edit, command,
+                                      capsys):
+        """A forest artifact whose schema gives two numeric features one
+        name, or has no target, with ``schema_hash`` recomputed to match:
+        it loaded, and ``predict`` exited 2 (duplicate names) or
+        ``evaluate`` 3 (no target)."""
+        pipeline = preprocess.fit_pipeline(movies_table, scale=False)
+        X, y = preprocess.transform(pipeline, movies_table)
+        forest = models.fit_random_forest(X, y, 3, models.TreeConfig(max_depth=3), seed=1)
+        doc = json.loads(persist.dumps_canonical(persist.make_artifact(pipeline, "forest",
+                                                                       forest, seed=1)))
+        schema = doc["pipeline"]["schema"]
+        if edit == "duplicate name":
+            next(c for c in schema if c["name"] == "votes")["name"] = "budget"
+        else:
+            schema[:] = [c for c in schema if c["role"] != "target"]
+        doc["training_meta"]["schema_hash"] = persist.schema_hash(
+            [ColumnSpec(**c) for c in schema]
+        )
+        bad = tmp_path / "bad.mrp.json"
+        bad.write_text(json.dumps(doc))
+        req_path = tmp_path / "req.json"
+        req_path.write_text(json.dumps(request_from_row(movies_table, row=0, model="forest")))
+        if command == "predict":
+            code = run("predict", "--artifact", str(bad), "--input", str(req_path))
+        else:
+            code = run("evaluate", "--artifact", str(bad), "--data", str(movies_csv))
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = ("duplicate column names in schema" if edit == "duplicate name"
+                  else "schema needs exactly one target column, found 0")
+        assert captured.err == f"artifact error: corrupt artifact at 'pipeline.schema': {reason}\n"
 
     @pytest.mark.parametrize("edit", ["reverse genre", "no trees", "kind forest"])
     def test_inconsistent_golden_exit_five(self, tmp_path, edit, capsys):

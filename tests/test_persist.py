@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from movierev import cli, models, persist, preprocess
-from movierev.dataset import FEATURE
+from movierev.dataset import FEATURE, ColumnSpec
 from movierev.errors import (
     ArtifactError,
     CorruptArtifact,
@@ -391,6 +391,71 @@ class TestReaderChecks:
         doc = json.loads(GOLDEN.read_text()) if source == "golden" else saved_docs[source]
         doc["model_payload"]["trees"] = []
         assert rejected_at(tmp_path, doc) == "model_payload.trees"
+
+    @pytest.mark.parametrize("value", [-1, 2**64, 2**70])
+    @pytest.mark.parametrize("where", ["training_meta.seed", "model_payload.per_tree_seeds[0]"])
+    def test_seed_outside_the_64_bit_range(self, saved_docs, where, value, tmp_path):
+        """``train`` writes seeds in [0, 2**64) only."""
+        doc = saved_docs["forest"]
+        if where == "training_meta.seed":
+            doc["training_meta"]["seed"] = value
+        else:
+            doc["model_payload"]["per_tree_seeds"][0] = value
+        assert rejected_at(tmp_path, doc) == where
+
+    def test_seeds_at_the_ends_of_the_range_load(self, saved_docs, tmp_path):
+        doc = saved_docs["forest"]
+        doc["training_meta"]["seed"] = 2**64 - 1
+        doc["model_payload"]["per_tree_seeds"][:2] = [0, 2**64 - 1]
+        path = tmp_path / "ends.mrp.json"
+        path.write_text(json.dumps(doc))
+        loaded = load(path)
+        assert loaded.training_meta["seed"] == 2**64 - 1
+        assert json.loads(dumps_canonical(loaded)) == doc
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_one_seed_per_tree(self, saved_docs, delta, tmp_path):
+        doc = saved_docs["forest"]
+        seeds = doc["model_payload"]["per_tree_seeds"]
+        if delta < 0:
+            seeds.pop()
+        else:
+            seeds.append(5)
+        assert rejected_at(tmp_path, doc) == "model_payload.per_tree_seeds"
+
+    @pytest.mark.parametrize("literal", ["[3, 4]", '{"a": 3}', "[]", "1e400"])
+    def test_params_are_scalars(self, saved_docs, literal, tmp_path):
+        """A list or an object as a parameter value loaded, and then
+        ``dumps_canonical`` raised a bare ``TypeError``."""
+        doc = saved_docs["forest"]
+        doc["training_meta"]["params"] = {"max_depth": 3, "max_features": "@"}
+        path = tmp_path / "edited.mrp.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(CorruptArtifact) as err:
+            load(path)
+        assert err.value.field_path == "training_meta.params.max_features"
+
+    def test_scalar_params_load_and_save_back(self, saved_docs, tmp_path):
+        doc = saved_docs["forest"]
+        doc["training_meta"]["params"] = {"a": None, "b": True, "c": 3, "d": 0.5, "e": "x"}
+        path = tmp_path / "params.mrp.json"
+        path.write_text(json.dumps(doc))
+        assert json.loads(dumps_canonical(load(path))) == doc
+
+    @pytest.mark.parametrize("edit", ["duplicate name", "no target", "two targets"])
+    def test_schema_is_valid(self, edit, tmp_path):
+        """Two numeric features of one name, or a schema without exactly
+        one target, with ``schema_hash`` recomputed to match."""
+        doc = json.loads(GOLDEN.read_text())
+        schema = doc["pipeline"]["schema"]
+        if edit == "duplicate name":
+            next(c for c in schema if c["name"] == "votes")["name"] = "budget"
+        elif edit == "no target":
+            schema.pop()
+        else:
+            next(c for c in schema if c["name"] == "runtime")["role"] = "target"
+        doc["training_meta"]["schema_hash"] = schema_hash([ColumnSpec(**c) for c in schema])
+        assert rejected_at(tmp_path, doc) == "pipeline.schema"
 
     def test_negative_leaf_count(self, saved_docs, tmp_path):
         doc = saved_docs["forest"]

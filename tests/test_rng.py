@@ -7,6 +7,7 @@ import pytest
 
 from movierev.rng import Xoshiro256StarStar, derive_seed
 from movierev.synthetic import synthetic_movies
+from tests.conftest import run_python
 
 M64 = (1 << 64) - 1
 
@@ -178,20 +179,20 @@ def test_draws_equal_step_by_step_draws(seed, call):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rejected_draws_are_redrawn_in_stream_order(seed):
-    """A bound of 3 * 2**62 rejects a quarter of all outputs, and one just
-    above 2**32 takes the exact test; both must redraw as ``randbelow``
-    does and leave the stream where it would."""
+    """A bound of 3 * 2**62 rejects a quarter of all outputs, mixed with
+    bounds that reject almost none; the bulk bounded draw must redraw as
+    ``randbelow`` does and leave the stream where it would."""
     bounds = [3 * 2**62] * 40 + [2**32 + 1, 2**32, 1, 2, 3 * 2**62, 7] * 5
     fast, slow = Xoshiro256StarStar(seed), StepByStep(seed)
-    assert fast._below_each(bounds) == [slow.randbelow(b) for b in bounds]
+    assert fast._below(bounds)[0].tolist() == [slow.randbelow(b) for b in bounds]
     assert slow.redrawn > 0
     assert fast._s == slow.ref.s
 
 
-# bounds with no rejected output (1, 2**32), two rejected outputs (7), one
-# (2**32 + 1, just past the small-bound shortcut) and a quarter of all
-# outputs rejected (3 * 2**62)
-BOUNDS = [1, 7, 2**32, 2**32 + 1, 3 * 2**62]
+# bounds with no rejected output (1, 2**32, and 2**64, which keeps the
+# output as it is), two rejected outputs (7), one (2**32 + 1) and a
+# quarter of all outputs rejected (3 * 2**62)
+BOUNDS = [1, 7, 2**32, 2**32 + 1, 3 * 2**62, 2**64]
 
 
 def state_whose_next_output_is(seed, v):
@@ -230,6 +231,49 @@ def test_randbelow_redraws_exactly_the_outputs_the_reference_rejects(b, v):
     assert rng.randbelow(b) == ref.randbelow(b)
     assert (ref.redrawn > 0) == (v >= (1 << 64) - (1 << 64) % b)
     assert rng._s == ref.ref.s
+
+
+def test_bounds_outside_one_to_two_to_the_64_are_refused():
+    """No output is below the limit of a bound past 2**64, so a draw for
+    one would never return: it is refused, as are bounds below 1, for a
+    single draw and for any place of a bulk one. Run in a child process,
+    killed if it hangs."""
+    code = """if True:
+        from movierev.rng import Xoshiro256StarStar
+        rng = Xoshiro256StarStar(1)
+        for draw in (lambda: rng.randbelow(2**64 + 1), lambda: rng.randbelow(2**65),
+                     lambda: rng.randbelow(0), lambda: rng.randbelow(-3),
+                     lambda: rng._below([7, 2**64 + 1, 5]), lambda: rng._below([7, 0, 5], 3)):
+            try:
+                draw()
+            except ValueError as e:
+                print(e)
+        """
+    proc = run_python(["-c", code], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"a bound must be an integer in [1, 2**64], not {n}"
+        for n in (2**64 + 1, 2**65, 0, -3, 2**64 + 1, 0)
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("v", [M64, M64 - 1, 0])
+def test_sample_rows_equal_successive_samples(seed, v):
+    """Each row of ``sample_rows(n, k, count)`` is the next
+    ``sample_without_replacement(n, k)``, over blocks of rows, with the
+    first output set to one that bound 14 rejects (``M64``, ``M64 - 1``)
+    or takes (0); the state left is the same."""
+    fast, slow = Xoshiro256StarStar(0), StepByStep(0)
+    fast._s = state_whose_next_output_is(seed, v)
+    slow.ref.s = list(fast._s)
+    for n, k, count in [(14, 4, 16), (14, 4, 1), (14, 4, 1100), (14, 4, 0), (30, 30, 3),
+                        (1, 0, 2), (14, 1, 40), (5, 5, 7)]:
+        rows = fast.sample_rows(n, k, count)
+        assert rows.shape == (count, k)
+        assert rows.tolist() == [slow.sample_without_replacement(n, k) for _ in range(count)]
+    assert (slow.redrawn > 0) == (v != 0)
+    assert fast._s == slow.ref.s
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**65 + 3, True, False, 1.0, 2.0**64,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from movierev import synthetic
 from movierev.dataset import MOVIE_SCHEMA, NUMERIC, DataTable
-from movierev.rng import Xoshiro256StarStar
+from movierev.rng import _BLOCK_OUTPUTS, Xoshiro256StarStar
 from movierev.synthetic import synthetic_movies
 
 M64 = (1 << 64) - 1
@@ -188,7 +188,7 @@ def test_default_tables_equal_the_reference():
 # give a u1 of 0.0, which Box-Muller draws again.
 REJECTED_BOUNDED = M64
 # rows in one block of bulk draws
-BLOCK_ROWS = synthetic._BLOCK_OUTPUTS // len(synthetic._ROW_DRAWS)
+BLOCK_ROWS = _BLOCK_OUTPUTS // len(synthetic._ROW_DRAWS)
 
 
 @pytest.mark.parametrize("n, inserts, rejected", [
