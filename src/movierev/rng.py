@@ -25,18 +25,17 @@ A seed is an integer in [0, 2**64), Python or numpy but not ``bool``;
 One loop steps the state: ``outputs(k)``, the next ``k`` outputs in bulk
 (the scrambler applied in numpy, whose ``uint64`` arithmetic wraps as the
 masked integers do). One routine, ``accepted_outputs``, applies the
-rejection rule, for every bounded draw and for ``synthetic_movies``. So a
-single draw costs a few numpy calls, tens of microseconds; a forest tree
-draws its feature subsets ahead in blocks (``sample_rows``), which is
-safe because the stream is the tree's own: rows past its last searched
-node are never read.
+rejection rule, for every bounded draw and for ``synthetic_movies``, so a
+single draw costs a few numpy calls. A forest tree draws its feature
+subsets ahead in blocks (``sample_rows``): its stream is its own, so rows
+past its last searched node are never read.
 
 Rejection. A bounded draw for ``n``, an integer in [1, 2**64]
-(``ValueError`` otherwise), rejects an output ``v >= below_limit(n)``
-(the largest multiple of ``n`` that fits in 64 bits; all of them for
-``n = 2**64``), takes the next output in its place and returns
-``v % n``. Drawn in bulk, a rejected output is dropped: every later
-output moves up one place and one more is drawn at the end.
+(``ValueError`` otherwise), rejects an output ``v >= below_limit(n)``,
+the largest multiple of ``n`` up to 2**64 (none for a power of two),
+takes the next output in its place and returns ``v % n``. Drawn in bulk,
+a rejected output is dropped: every later output moves up one place and
+one more is drawn at the end.
 """
 
 from __future__ import annotations
@@ -152,16 +151,11 @@ class Xoshiro256StarStar:
         return int(self._below((n,))[0, 0])
 
     def _below(self, bounds, rows: int = 1) -> np.ndarray:
-        """``rows`` rows of bounded draws, one place per bound of ``bounds``,
-        each an integer in [1, 2**64] (``ValueError`` otherwise): the next
-        output accepted for bound ``b``, as ``v % b``, in a ``uint64``
-        array."""
-        top = max(bounds, default=1)
-        least = min(bounds, default=1)
+        """``rows`` rows of bounded draws, one place per bound ``b`` of
+        ``bounds`` (integers in [1, 2**64]): the next output it accepts, as ``v % b``."""
+        least, top = min(bounds, default=1), max(bounds, default=1)
         if least < 1 or top > 1 << 64:
-            raise ValueError(
-                f"a bound must be an integer in [1, 2**64], not {least if least < 1 else top}"
-            )
+            raise ValueError(f"bound {least if least < 1 else top} outside [1, 2**64]")
         # 2**64 does not fit in uint64: it is drawn as a bound of 1, which
         # also accepts every output, and keeps the output as it is
         kept = [x == 1 << 64 for x in bounds] if top == 1 << 64 else None

@@ -82,11 +82,9 @@ _BOUNDS = np.array([_ROW_DRAWS[j] for j in _BOUNDED], dtype=np.uint64)
 
 
 def _draw_rows(rng: Xoshiro256StarStar, rows: int, kinds: tuple) -> np.ndarray:
-    """``rows`` rows of outputs, one place per entry of ``kinds`` (as in
-    ``_ROW_DRAWS``), in stream order, from ``accepted_outputs``. A place
-    takes the next output its draw accepts: one below ``below_limit(b)``
-    for ``randbelow(b)``, one with ``v >> 11`` nonzero for a u1, any for a
-    float."""
+    """``accepted_outputs`` in ``rows`` rows, one place per entry of ``kinds`` (as
+    in ``_ROW_DRAWS``): an output below ``below_limit(b)`` for ``randbelow(b)``,
+    one with ``v >> 11`` nonzero for a u1, any for a float."""
     low = np.array([1 << 11 if d == _U1 else 0 for d in kinds], dtype=np.uint64)
     high = np.array([below_limit(d) - 1 if d > 0 else (1 << 64) - 1 for d in kinds],
                     dtype=np.uint64)
