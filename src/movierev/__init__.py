@@ -7,80 +7,42 @@ descriptive statistics and feature scoring (:mod:`.analysis`), six model
 families (:mod:`.models`), evaluation metrics (:mod:`.metrics`),
 cross-validated grid search (:mod:`.tuning`), artifact persistence
 (:mod:`.persist`) and the command-line entry point (:mod:`.cli`).
+
+The public names below are loaded on first use: ``import movierev``
+imports no submodule, and ``movierev.fit_model`` imports
+:mod:`.models` (and what it needs) the first time it is read.
 """
 
-from .dataset import (
-    MOVIE_SCHEMA,
-    ColumnSpec,
-    DataTable,
-    SplitIndices,
-    drop_incomplete_rows,
-    load_table,
-    train_test_split,
-)
-from .metrics import EvalReport, eval_report, mape, mse, msle, r2
-from .models import (
-    EnsembleModel,
-    LinearModel,
-    TreeConfig,
-    fit_bagging,
-    fit_cart,
-    fit_gbm,
-    fit_model,
-    fit_ols,
-    fit_random_forest,
-    fit_xgb,
-    predict,
-    predict_tree,
-    staged_predict,
-    staged_train_r2,
-)
-from .persist import ModelArtifact, load, make_artifact, save
-from .preprocess import Pipeline, fit_pipeline, transform, transform_with_warnings
-from .tuning import CvResult, ParamGrid, cross_val_r2, grid_search, kfold_indices
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MOVIE_SCHEMA",
-    "ColumnSpec",
-    "DataTable",
-    "SplitIndices",
-    "load_table",
-    "drop_incomplete_rows",
-    "train_test_split",
-    "Pipeline",
-    "fit_pipeline",
-    "transform",
-    "transform_with_warnings",
-    "EvalReport",
-    "eval_report",
-    "r2",
-    "mape",
-    "msle",
-    "mse",
-    "LinearModel",
-    "EnsembleModel",
-    "TreeConfig",
-    "fit_ols",
-    "fit_cart",
-    "fit_bagging",
-    "fit_random_forest",
-    "fit_gbm",
-    "fit_xgb",
-    "fit_model",
-    "predict",
-    "predict_tree",
-    "staged_predict",
-    "staged_train_r2",
-    "ParamGrid",
-    "CvResult",
-    "kfold_indices",
-    "cross_val_r2",
-    "grid_search",
-    "ModelArtifact",
-    "make_artifact",
-    "save",
-    "load",
-    "__version__",
-]
+# each public name, by the module that defines it
+_PUBLIC = {
+    "dataset": ("MOVIE_SCHEMA", "ColumnSpec", "DataTable", "SplitIndices", "load_table",
+                "drop_incomplete_rows", "train_test_split"),
+    "preprocess": ("Pipeline", "fit_pipeline", "transform", "transform_with_warnings"),
+    "metrics": ("EvalReport", "eval_report", "r2", "mape", "msle", "mse"),
+    "models": ("LinearModel", "EnsembleModel", "TreeConfig", "fit_ols", "fit_cart",
+               "fit_bagging", "fit_random_forest", "fit_gbm", "fit_xgb", "fit_model",
+               "predict", "predict_tree", "staged_predict", "staged_train_r2"),
+    "tuning": ("ParamGrid", "CvResult", "kfold_indices", "cross_val_r2", "grid_search"),
+    "persist": ("ModelArtifact", "make_artifact", "save", "load"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    # an unknown name raises AttributeError, so ``from movierev import
+    # models`` falls back to importing the submodule
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

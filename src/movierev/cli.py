@@ -20,10 +20,10 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import analysis, metrics, models, persist, preprocess, tuning
 from .dataset import (
     DEFAULT_SEED,
     DEFAULT_TEST_FRACTION,
@@ -36,6 +36,11 @@ from .dataset import (
     train_test_split,
 )
 from .errors import ArtifactError, DataError, InvalidField, ModelError, NonFiniteResult
+
+# each command imports only the layers it runs, as modules it calls
+# through (``persist.load``), so a patched module attribute takes effect
+if TYPE_CHECKING:
+    from . import metrics
 
 # menu order and numbering for interactive prediction
 MODEL_MENU = (
@@ -50,6 +55,7 @@ CLI_KINDS = tuple(kind for kind, _ in MODEL_MENU)
 
 
 def _report_base(out_path: str) -> str:
+    from . import persist
     if out_path.endswith(persist.ARTIFACT_SUFFIX):
         return out_path[: -len(persist.ARTIFACT_SUFFIX)]
     if out_path.endswith(".json"):
@@ -68,6 +74,7 @@ def _print_reports(model_id: str, reports: list[metrics.EvalReport]) -> None:
 
 
 def _write_reports(base: str, model_id: str, reports: list[metrics.EvalReport]) -> None:
+    from . import metrics
     _write_lines(
         base + ".report.csv",
         [metrics.EvalReport.CSV_HEADER] + [rep.csv_row(model_id) for rep in reports],
@@ -80,6 +87,7 @@ def _write_reports(base: str, model_id: str, reports: list[metrics.EvalReport]) 
 
 def _space_pair(y_eval, pred_eval, table: DataTable, pipeline, raw_space: bool):
     """(actuals, predictions, space label) in the requested metric space."""
+    from . import metrics, preprocess
     if raw_space and pipeline.log_target:
         y_raw = np.asarray(table.column(pipeline.target_name), dtype=np.float64)
         return y_raw, preprocess.expm1_inverse(pred_eval), metrics.RAW_SPACE
@@ -88,6 +96,7 @@ def _space_pair(y_eval, pred_eval, table: DataTable, pipeline, raw_space: bool):
 
 
 def cmd_train(args) -> int:
+    from . import metrics, models, persist, preprocess
     if args.track_r2 and args.model not in models.BOOSTING_KINDS:
         raise ValueError("staged R2 tracking needs a boosting model")
     table = load_table(args.data)
@@ -107,6 +116,7 @@ def cmd_train(args) -> int:
     params: dict = {}
     cv = None
     if args.grid:
+        from . import tuning
         if args.grid == "default":
             grid = tuning.ParamGrid(tuning.DEFAULT_GRID)
         else:
@@ -224,6 +234,7 @@ def _request_interactive(feature_schema, artifact_kind, reader=None) -> tuple[di
 
 
 def cmd_predict(args) -> int:
+    from . import models, persist, preprocess
     artifact = persist.load(args.artifact)
     pipeline = artifact.pipeline
     feature_schema = tuple(c for c in pipeline.fitted_on_schema if c.role == FEATURE)
@@ -251,6 +262,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    from . import analysis
     clean = drop_incomplete_rows(load_table(args.data))
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -296,6 +308,7 @@ def _write_lines(path, lines) -> None:
 
 
 def cmd_select_features(args) -> int:
+    from . import analysis, preprocess
     clean = drop_incomplete_rows(load_table(args.data))
     if args.expand:
         matrix, names = analysis.expand_categorical(clean)
@@ -326,6 +339,7 @@ def cmd_select_features(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics, models, persist, preprocess
     artifact = persist.load(args.artifact)
     clean = drop_incomplete_rows(load_table(args.data))
     X, y = preprocess.transform(artifact.pipeline, clean)
@@ -429,7 +443,9 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """Entry point of the ``movierev`` command: :func:`main`, with the
-    cyclic garbage collector off for the rest of the process."""
+    cyclic garbage collector off for the rest of the process. Once it
+    returns, every object is frozen, so the full collection at
+    interpreter exit walks none of them."""
     gc.disable()
     return main()
 
