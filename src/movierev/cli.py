@@ -447,7 +447,9 @@ def run() -> int:
     returns, every object is frozen, so the full collection at
     interpreter exit walks none of them."""
     gc.disable()
-    return main()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -403,6 +403,12 @@ def _decode_model(kind, payload, n_features):
             raise CorruptArtifact(where, f"{len(seeds)} seeds for {len(trees)} trees")
         return EnsembleModel(kind=kind, trees=trees, per_tree_seeds=seeds)
     floats = {name: _expect(payload, name, float, path) for name in _BOOSTING_FLOATS[kind]}
+    # the ranges the boosting fits accept
+    if not 0.0 < floats["learning_rate"] <= 1.0:
+        raise CorruptArtifact(f"{path}.learning_rate", "learning rate outside (0, 1]")
+    for name in ("reg_lambda", "reg_gamma"):
+        if floats.get(name, 0.0) < 0.0:
+            raise CorruptArtifact(f"{path}.{name}", f"negative {name}")
     return EnsembleModel(kind=kind, trees=trees, **floats)
 
 
@@ -437,6 +443,9 @@ def _decode_pipeline(doc):
             means=_expect_items(scaler_doc, "means", dict, float, f"{path}.scaler"),
             stds=_expect_items(scaler_doc, "stds", dict, float, f"{path}.scaler"),
         )
+        for name, std in scaler.stds.items():
+            if std < 0.0:  # a zero std, -0.0 too, leaves its column unscaled
+                raise CorruptArtifact(f"{path}.scaler.stds.{name}", "negative standard deviation")
     features = sorted(c.name for c in schema if c.role == FEATURE)
     if scaler is not None and not sorted(scaler.means) == sorted(scaler.stds) == features:
         raise CorruptArtifact(f"{path}.scaler", "columns differ from the schema's features")

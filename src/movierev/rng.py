@@ -58,6 +58,17 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _integer(value):
+    """``value`` as a Python ``int`` if it is an integer, Python or numpy
+    but not ``bool``; ``None`` otherwise."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Child seed ``index`` of ``seed``: output ``index`` of the SplitMix64
     stream started at ``seed``, an integer in [0, 2**64) (``ValueError``
@@ -66,11 +77,8 @@ def derive_seed(seed: int, index: int) -> int:
     Used to give ensemble member ``i`` its own stream so results do not
     depend on the order (or parallelism) in which members are fitted.
     """
-    try:
-        value = -1 if isinstance(seed, bool) else operator.index(seed)
-    except TypeError:
-        value = -1
-    if not 0 <= value <= _MASK64:
+    value = _integer(seed)
+    if value is None or not 0 <= value <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
     if index < 0:
         raise ValueError("stream index must be non-negative")
@@ -147,8 +155,13 @@ class Xoshiro256StarStar:
         return (self.next_uint64() >> 11) * 2.0 ** -53
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection sampling."""
-        return int(self._below((n,))[0, 0])
+        """Uniform integer in [0, n), unbiased via rejection sampling. ``n``
+        is an integer in [1, 2**64], Python or numpy but not ``bool``
+        (``ValueError`` otherwise)."""
+        bound = _integer(n)
+        if bound is None:
+            raise ValueError(f"bound must be an integer in [1, 2**64], not {n!r}")
+        return int(self._below((bound,))[0, 0])
 
     def _below(self, bounds, rows: int = 1) -> np.ndarray:
         """``rows`` rows of bounded draws, one place per bound ``b`` of

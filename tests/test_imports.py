@@ -115,3 +115,12 @@ def test_every_subcommand_help_exits_zero(command):
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(f"usage: movierev {command}")
 
+
+def test_run_freezes_the_heap_for_interpreter_exit():
+    """``cli.run`` leaves the exit's full collection no objects to walk."""
+    done = run_python(["-c", (
+        "import gc\nfrom movierev import cli\ncli.main = lambda: 7\n"
+        "assert cli.run() == 7\nprint(gc.isenabled(), gc.get_freeze_count() > 0)"
+    )], timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -457,6 +457,54 @@ class TestReaderChecks:
         doc["training_meta"]["schema_hash"] = schema_hash([ColumnSpec(**c) for c in schema])
         assert rejected_at(tmp_path, doc) == "pipeline.schema"
 
+    @pytest.mark.parametrize("std", [-1.0, -5e-324, -2])
+    def test_negative_scaler_std(self, saved_docs, std, tmp_path):
+        """``fit_pipeline`` never writes one; ``transform`` used to divide
+        that column by 1.0 instead."""
+        doc = saved_docs["linear"]
+        doc["pipeline"]["scaler"]["stds"]["year"] = std
+        assert rejected_at(tmp_path, doc) == "pipeline.scaler.stds.year"
+
+    @pytest.mark.parametrize("std", [0.0, -0.0, 0])
+    def test_zero_scaler_std_loads(self, saved_docs, std, tmp_path):
+        doc = saved_docs["linear"]
+        doc["pipeline"]["scaler"]["stds"]["year"] = std
+        path = tmp_path / "zero.mrp.json"
+        path.write_text(json.dumps(doc))
+        assert load(path).pipeline.scaler.stds["year"] == 0.0
+
+    @pytest.fixture()
+    def xgb_doc(self, movies_table):
+        pipeline = preprocess.fit_pipeline(movies_table, scale=False)
+        X, y = preprocess.transform(pipeline, movies_table)
+        model = models.fit_xgb(X, y, n_estimators=3, learning_rate=0.5,
+                               tree_config=models.TreeConfig(max_depth=2),
+                               reg_lambda=1.0, reg_gamma=0.0)
+        return json.loads(dumps_canonical(make_artifact(pipeline, "xgb", model, seed=1)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", -0.0), ("learning_rate", -0.5),
+        ("learning_rate", 1.5), ("learning_rate", 2), ("reg_lambda", -1.0),
+        ("reg_lambda", -5e-324), ("reg_gamma", -0.5),
+    ])
+    def test_boosting_floats_a_fit_refuses(self, xgb_doc, fitted, field, value, tmp_path):
+        """``fit_gbm`` and ``fit_xgb`` refuse a learning rate outside
+        (0, 1] and a negative ``reg_lambda`` or ``reg_gamma``."""
+        for doc in (xgb_doc, json.loads(dumps_canonical(fitted[0]))):
+            if field in doc["model_payload"]:
+                doc["model_payload"][field] = value
+                assert rejected_at(tmp_path, doc) == f"model_payload.{field}"
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 1.0), ("learning_rate", 5e-324), ("learning_rate", 1),
+        ("reg_lambda", 0.0), ("reg_lambda", -0.0), ("reg_gamma", -0.0), ("reg_gamma", 1e300),
+    ])
+    def test_boosting_floats_a_fit_accepts_load(self, xgb_doc, field, value, tmp_path):
+        xgb_doc["model_payload"][field] = value
+        path = tmp_path / "edge.mrp.json"
+        path.write_text(json.dumps(xgb_doc))
+        assert getattr(load(path).model, field) == value
+
     def test_negative_leaf_count(self, saved_docs, tmp_path):
         doc = saved_docs["forest"]
         node = doc["model_payload"]["trees"][1]

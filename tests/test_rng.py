@@ -313,6 +313,26 @@ def test_outputs_equal_one_call_per_output(seed, k):
     assert bulk.outputs(3).tolist() == [single.next() for _ in range(3)]
 
 
+@pytest.mark.parametrize("bound", [2.5, "3", None, True, 3.0, np.float64(3.0)], ids=repr)
+def test_randbelow_refuses_a_bound_that_is_not_an_integer(bound):
+    """``randbelow(2.5)`` drew from {0, 1}, as a bound of 2 would, and
+    ``randbelow("3")`` failed with an unrelated ``TypeError``."""
+    rng = Xoshiro256StarStar(1)
+    with pytest.raises(ValueError, match=r"bound must be an integer in \[1, 2\*\*64\], not "):
+        rng.randbelow(bound)
+    assert rng._s == Xoshiro256StarStar(1)._s  # nothing was drawn
+
+
+@pytest.mark.parametrize("bound", [1, 7, 2**63, M64])
+def test_numpy_integer_bounds_equal_python_ones(bound):
+    kinds = [np.uint64] + ([np.int64] if bound < 2**63 else [])
+    for kind in kinds:
+        python, numpy_ = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+        assert [numpy_.randbelow(kind(bound)) for _ in range(20)] == [
+            python.randbelow(bound) for _ in range(20)
+        ]
+
+
 def test_outputs_rejects_a_negative_count():
     with pytest.raises(ValueError):
         Xoshiro256StarStar(0).outputs(-1)
