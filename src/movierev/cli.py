@@ -38,7 +38,8 @@ from .dataset import (
 from .errors import ArtifactError, DataError, InvalidField, ModelError, NonFiniteResult
 
 # each command imports only the layers it runs, as modules it calls
-# through (``persist.load``), so a patched module attribute takes effect
+# through (``persist.load``), so a patched module attribute takes effect;
+# ``metrics`` is imported here for the annotations only
 if TYPE_CHECKING:
     from . import metrics
 

@@ -43,6 +43,7 @@ def test_cli_import_loads_no_layer():
 def test_public_names_resolve_on_first_use():
     code = """
 import importlib, movierev
+assert len(set(movierev.__all__)) == 41 and movierev.__version__ == "0.1.0"
 for name in movierev.__all__:
     if name != "__version__":
         module = importlib.import_module("movierev." + movierev._MODULE_OF[name])
@@ -61,13 +62,6 @@ from movierev import analysis, cli, fit_model, models
 assert fit_model is models.fit_model and analysis.__name__ == "movierev.analysis"
 """
     assert loaded_after(code) >= {"models", "tuning", "persist", "analysis", "cli"}
-
-
-def test_all_lists_each_name_once():
-    import movierev
-
-    assert len(movierev.__all__) == len(set(movierev.__all__)) == 41
-    assert movierev.__version__ == "0.1.0"
 
 
 @pytest.fixture(scope="module")

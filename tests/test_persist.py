@@ -817,6 +817,7 @@ class TestCollectorState:
         (gc.enable if request.param else gc.disable)()
         yield request.param
         (gc.enable if was else gc.disable)()
+        gc.unfreeze()  # ``cli.run`` freezes the heap, for a process about to exit
 
     @staticmethod
     def record(monkeypatch, owner, name, seen):
